@@ -38,10 +38,10 @@ from .cohomology import (
     DivisorClass,
     forward_ratio,
     in_forward_cone,
-    topological_residue,
 )
 from .cones import (
     AmbientBundle,
+    admissibility_bound,
     kahler_class_for_ratio,
     kahler_membership,
     matching_bundle,
@@ -84,13 +84,6 @@ def alpha_from_blowup_normal(deg_normal_of_surface: int) -> int:
     twice inverts it, so it also recovers the blow-down target's normal
     degree from alpha."""
     return -deg_normal_of_surface
-
-
-def admissibility_bound(alpha: int, n: int, genus: SurfaceGenus) -> int:
-    """Strict lower bound the divisor's ratio must exceed to be admissible."""
-    if genus.g > 0:
-        return alpha
-    return max(alpha, topological_residue(alpha, n))
 
 
 @dataclass(frozen=True)
@@ -317,6 +310,7 @@ def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
     if d.fiber_rank != 2:
         raise ValueError("the dimension-6 verdict needs a divisor ruled by lines "
                          "(fiber rank 2)")
+    ruling, effective, reason = None, d, ""
     if d.is_double_ruling_case:
         x, y = d.ruled_areas
         if x == y:
@@ -327,25 +321,19 @@ def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
                         "require ambient rulings that are not cohomologous"),
             )
         if x < y:
-            ruling, effective = Ruling.FIRST, d
+            ruling = Ruling.FIRST
         else:
             ruling, effective = Ruling.SECOND, refibred_along_second_ruling(d)
-        return BlowdownVerdict(
-            VerdictKind.BLOWDOWN_UP_TO_DEFORMATION,
-            certificate=build_matching_triple(effective),
-            chosen_ruling=ruling,
-            reason=f"blowing down the {ruling.value} ruling (smaller area)",
-        )
-    rho = forward_ratio(d.omega_class)
-    bound = admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
-    if rho > bound:
-        return BlowdownVerdict(
-            VerdictKind.BLOWDOWN_UP_TO_DEFORMATION,
-            certificate=build_matching_triple(d),
-        )
+        reason = f"blowing down the {ruling.value} ruling (smaller area)"
+    try:
+        certificate = build_matching_triple(effective)
+    except NotAdmissibleError as err:
+        return BlowdownVerdict(VerdictKind.NOT_ADMISSIBLE, reason=str(err))
     return BlowdownVerdict(
-        VerdictKind.NOT_ADMISSIBLE,
-        reason=f"ratio {rho} does not exceed the admissibility bound {bound}",
+        VerdictKind.BLOWDOWN_UP_TO_DEFORMATION,
+        certificate=certificate,
+        chosen_ruling=ruling,
+        reason=reason,
     )
 
 

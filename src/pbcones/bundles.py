@@ -40,6 +40,10 @@ __all__ = [
 
 SlopeValue = Fraction
 
+# Largest symmetric power sym_power will enumerate, in summands.  The
+# oracle sweeps reach about 1.3e3; rank 20 with m = 20 would be 6.9e10.
+_MAX_SYM_SUMMANDS = 10**6
+
 
 @dataclass(frozen=True)
 class SurfaceGenus:
@@ -148,6 +152,10 @@ def sym_power(b: BundleSpec, m: int) -> Decomposable:
     b = _require_decomposable(b, "sym_power")
     if m < 1:
         raise ValueError(f"symmetric power exponent must be >= 1, got {m}")
+    summands = sym_rank_degree(rank(b), degree(b), m)[0]
+    if summands > _MAX_SYM_SUMMANDS:
+        raise ValueError(f"symmetric power too large: {summands} summands, "
+                         f"the limit is {_MAX_SYM_SUMMANDS}")
     out = []
     for combo in combinations_with_replacement(b.degrees, m):
         out.append(sum(combo))

@@ -57,7 +57,6 @@ from .cones import (
 from .oracle import (
     DEFAULT_SEED,
     GridSpec,
-    OracleGuardError,
     cone_sweep,
     ring_sweep,
     sympow_sweep,
@@ -65,16 +64,18 @@ from .oracle import (
 
 __all__ = ["main", "console_main"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# The denominator must hold a non-zero digit: p/0 is rejected here.
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d*[1-9]\d*)?$")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
-        raise UsageError(f"malformed rational {text!r}: expected p or p/q with no spaces")
+        raise UsageError(f"malformed rational {text!r}: expected p or p/q "
+                         "with q non-zero and no spaces")
     return Fraction(text)
 
 
@@ -369,15 +370,24 @@ def cmd_blowdown(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # A bound below its minimum would leave a sweep with nothing to check.
+    for flag, value, least in (("--samples", args.samples, 1), ("--max-rank", args.max_rank, 1),
+                               ("--max-m", args.max_m, 1), ("--max-degree", args.max_degree, 0)):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    # Flags left out fall back to the sweep's own defaults.
+    sizes = {key: value for key, value in (("max_rank", args.max_rank),
+                                           ("max_abs_degree", args.max_degree))
+             if value is not None}
     if args.target == "ring":
-        report = ring_sweep(seed=args.seed, max_rank=args.max_rank,
-                            max_abs_degree=args.max_degree, samples=args.samples)
+        report = ring_sweep(seed=args.seed, samples=args.samples, **sizes)
     elif args.target == "sympow":
-        report = sympow_sweep(max_rank=args.max_rank,
-                              max_abs_degree=args.max_degree, max_m=args.max_m)
+        if args.max_m is not None:
+            sizes["max_m"] = args.max_m
+        report = sympow_sweep(**sizes)
     else:
-        report = cone_sweep(max_rank=args.max_rank, max_abs_degree=args.max_degree,
-                            grid=GridSpec(max_multisection=args.max_m))
+        grid = GridSpec() if args.max_m is None else GridSpec(max_multisection=args.max_m)
+        report = cone_sweep(grid=grid, **sizes)
     payload = {
         "command": "check",
         "target": args.target,
@@ -476,20 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CHECK_DEFAULTS = {
-    "ring": {"max_rank": 6, "max_degree": 10, "max_m": 5},
-    "sympow": {"max_rank": 4, "max_degree": 5, "max_m": 6},
-    "cone": {"max_rank": 3, "max_degree": 3, "max_m": 5},
-}
-
-
-def _apply_check_defaults(args) -> None:
-    defaults = _CHECK_DEFAULTS[args.target]
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
 # Flags whose values may start with a minus sign (negative degrees or
 # rationals); argparse would otherwise read them as option strings.
 _VALUE_FLAGS = {"--degrees", "--class", "--ruled-areas", "--semistable"}
@@ -553,15 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _normalize_argv(_inject_spec_args(list(argv)))
         args = build_parser().parse_args(argv)
-        if args.command == "check":
-            _apply_check_defaults(args)
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OracleGuardError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

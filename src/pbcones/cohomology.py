@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
 
 from .bundles import SurfaceGenus
 
@@ -33,12 +32,8 @@ __all__ = [
     "BundleContext",
     "DivisorClass",
     "CurveClass",
-    "RingElement",
     "RatioValue",
     "ContextMismatchError",
-    "ring_multiply",
-    "ring_power",
-    "integrate",
     "top_power",
     "pair",
     "in_forward_cone",
@@ -132,139 +127,6 @@ class CurveClass:
 def _check_ctx(a: BundleContext, b: BundleContext) -> None:
     if a != b:
         raise ContextMismatchError(f"mismatched bundle contexts: {a} vs {b}")
-
-
-def _reduce(ctx: BundleContext, raw: Mapping[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    # Drop F^2 first, then rewrite h^n -> e*h^{n-1}F per monomial; any
-    # hyperplane exponent beyond n dies because the rewrite meets F twice.
-    n = ctx.rank
-    e = ctx.top_coefficient
-    out: dict[tuple[int, int], Fraction] = {}
-
-    def add(key: tuple[int, int], c: Fraction) -> None:
-        acc = out.get(key, Fraction(0)) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-
-    for (a, b), c in raw.items():
-        if not c or b >= 2:
-            continue
-        if b == 0:
-            if a < n:
-                add((a, 0), c)
-            elif a == n:
-                add((n - 1, 1), c * e)
-            # a > n: zero
-        else:
-            if a <= n - 1:
-                add((a, 1), c)
-            # a >= n with one F already: zero
-    return out
-
-
-class RingElement:
-    """A finitely supported rational combination of monomials h^a F^b."""
-
-    __slots__ = ("ctx", "_coeffs")
-
-    def __init__(self, ctx: BundleContext, coeffs: Mapping[tuple[int, int], Rational]) -> None:
-        self.ctx = ctx
-        self._coeffs = _reduce(ctx, {k: _as_fraction(v) for k, v in coeffs.items()})
-
-    @classmethod
-    def zero(cls, ctx: BundleContext) -> "RingElement":
-        return cls(ctx, {})
-
-    @classmethod
-    def one(cls, ctx: BundleContext) -> "RingElement":
-        return cls(ctx, {(0, 0): 1})
-
-    @classmethod
-    def hyperplane(cls, ctx: BundleContext) -> "RingElement":
-        return cls(ctx, {(1, 0): 1})
-
-    @classmethod
-    def fiber(cls, ctx: BundleContext) -> "RingElement":
-        return cls(ctx, {(0, 1): 1})
-
-    @classmethod
-    def from_divisor(cls, u: DivisorClass) -> "RingElement":
-        return cls(u.ctx, {(1, 0): u.x, (0, 1): u.y})
-
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self._coeffs.get((a, b), Fraction(0))
-
-    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        _check_ctx(self.ctx, other.ctx)
-        merged = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            merged[k] = merged.get(k, Fraction(0)) + c
-        return RingElement(self.ctx, merged)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: Rational) -> "RingElement":
-        s = _as_fraction(scalar)
-        return RingElement(self.ctx, {k: s * c for k, c in self._coeffs.items()})
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        _check_ctx(self.ctx, other.ctx)
-        raw: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._coeffs.items():
-            for (a2, b2), c2 in other._coeffs.items():
-                key = (a1 + a2, b1 + b2)
-                raw[key] = raw.get(key, Fraction(0)) + c1 * c2
-        return RingElement(self.ctx, raw)
-
-    def __pow__(self, k: int) -> "RingElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined in this ring")
-        result = RingElement.one(self.ctx)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, tuple(sorted(self._coeffs.items()))))
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        h = self.ctx.hyperplane_symbol
-        parts = []
-        for (a, b), c in self.items():
-            mono = "*".join([h] * a + ["F"] * b) or "1"
-            parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
-
-
-def ring_multiply(p: RingElement, q: RingElement) -> RingElement:
-    return p * q
-
-
-def ring_power(u: DivisorClass, k: int) -> RingElement:
-    return RingElement.from_divisor(u) ** k
-
-
-def integrate(p: RingElement) -> Fraction:
-    """Evaluate against the fundamental class: the h^{n-1}F coefficient."""
-    return p.coefficient(p.ctx.rank - 1, 1)
 
 
 def top_power(u: DivisorClass) -> Fraction:

@@ -47,6 +47,7 @@ __all__ = [
     "AmbientBundle",
     "RestrictedRatioResult",
     "NoSuchClassError",
+    "admissibility_bound",
     "bundle_context",
     "balanced_form",
     "plus_trivial_line",
@@ -277,6 +278,14 @@ def matching_bundle(alpha: int, n: int, genus: SurfaceGenus) -> BundleSpec:
     return Decomposable((q,) * (n - t) + (q + 1,) * t, genus)
 
 
+def admissibility_bound(alpha: int, n: int, genus: SurfaceGenus) -> int:
+    """Strict lower bound a divisor's ratio must exceed to be admissible:
+    alpha over positive genus, max(alpha, alpha mod n) over genus 0."""
+    if genus.g > 0:
+        return alpha
+    return max(alpha, topological_residue(alpha, n))
+
+
 @dataclass(frozen=True)
 class RestrictedRatioResult:
     """Infimum of restriction ratios over ambient Kahler classes on P(V + O)."""
@@ -299,10 +308,7 @@ def restricted_ratio(alpha: int, n: int, genus: SurfaceGenus) -> RestrictedRatio
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
-    if genus.g > 0:
-        value = Fraction(max(0, alpha))
-    else:
-        value = Fraction(max(topological_residue(alpha, n), alpha))
+    value = Fraction(max(0, admissibility_bound(alpha, n, genus)))
     return RestrictedRatioResult(value, matching_bundle(alpha, n, genus))
 
 

@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles with machinery
 deliberately separate from the main modules: the ring power expands and
-rewrites monomials in a different reduction order, the symmetric-power
+rewrites monomials instead of using the closed formula, the symmetric-power
 degrees come from raw exponent enumeration rather than index multisets,
 and the cone check pairs classes by direct integer arithmetic.
 
@@ -86,10 +86,10 @@ def _digest(key: str) -> str:
 def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
     """(x*h + y*F)^k integrated, by binomial expansion and monomial rewriting.
 
-    Works in integer arithmetic over the common denominator of x and y.
-    Reduction order differs from the main ring on purpose: hyperplane
-    powers h^a with a >= n are rewritten first (h^n -> e*h^{n-1}*F, one
-    step at a time), and only then are monomials with F^2 discarded.
+    Works in integer arithmetic over the common denominator of x and y,
+    independently of the closed formula in top_power: hyperplane powers
+    h^a with a >= n are rewritten first (h^n -> e*h^{n-1}*F, one step at a
+    time), and only then are monomials with F^2 discarded.
     """
     n = u.ctx.rank
     if k > n:

@@ -71,6 +71,9 @@ def test_sym_power_rejects_semistable_and_bad_m():
         sym_power(semi_stable(2, -2, genus=1), 2)
     with pytest.raises(ValueError):
         sym_power(decomposable(1), 0)
+    # C(39, 20) ~ 6.9e10 summands: refused before any enumeration
+    with pytest.raises(ValueError, match="too large"):
+        sym_power(decomposable(*range(20)), 20)
 
 
 def test_sym_rank_degree_examples():

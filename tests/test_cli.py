@@ -150,18 +150,33 @@ def test_cone_semistable_human(capsys):
     assert "Kahler cone = forward cone" in out
 
 
+USAGE_ERRORS = [
+    "ring --rank 2 --deg 2 --class 1,0.5 --json",
+    "ring --rank 2 --deg 2 --class 1;2",
+    "ring --rank 0 --deg 2 --class 1,0",
+    "ring --rank 2 --deg 2 --class 1/0,1",
+    "bundle sympow --degrees , -m 2",
+    "bundle sympow --degrees " + ",".join(map(str, range(20))) + " -m 20",
+    "cone --semistable 2,-3 --genus 0",
+    "cone --degrees 1,2 --semistable 2,2",
+    "cone --degrees 0,2 --class 0/0,1",
+    "blowdown --genus 0 --alpha 2 --class 1,1",
+    "blowdown --genus 0 --alpha -1 --class 0,1",
+    "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 3",
+    "blowdown --genus 0 --alpha 2 --ruled-areas 1/0,1",
+    "check sympow --max-rank 9",
+    "check ring --samples -5",
+    "check sympow --max-rank 0",
+    "check ring --max-degree -1",
+    "check cone --max-m 0",
+]
+
+
 def test_usage_errors_exit_2(capsys):
-    assert main("ring --rank 2 --deg 2 --class 1,0.5 --json".split()) == 2
-    assert main("ring --rank 2 --deg 2 --class 1;2".split()) == 2
-    assert main("ring --rank 0 --deg 2 --class 1,0".split()) == 2
-    assert main("bundle sympow --degrees , -m 2".split()) == 2
-    assert main("cone --semistable 2,-3 --genus 0".split()) == 2
-    assert main("cone --degrees 1,2 --semistable 2,2".split()) == 2
-    assert main("blowdown --genus 0 --alpha 2 --class 1,1".split()) == 2
-    assert main("blowdown --genus 0 --alpha -1 --class 0,1".split()) == 2
-    assert main("blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 3".split()) == 2
-    assert main("check sympow --max-rank 9".split()) == 2
-    capsys.readouterr()
+    for argv in USAGE_ERRORS:
+        assert main(argv.split()) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_check_commands(capsys):

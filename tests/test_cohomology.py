@@ -12,17 +12,13 @@ from pbcones.cohomology import (
     Convention,
     CurveClass,
     DivisorClass,
-    RingElement,
     convert_convention,
     eta_class,
     forward_ratio,
     in_forward_cone,
-    integrate,
     line_class,
     pair,
     ratio,
-    ring_multiply,
-    ring_power,
     section_class,
     top_power,
     topological_residue,
@@ -41,63 +37,6 @@ small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=9)
 nonzero_fractions = small_fractions.filter(lambda q: q != 0)
 
 
-# ------------------------------------------------------------- ring
-
-
-def test_ring_multiply_examples():
-    c = ctx(2, 3)
-    xi = RingElement.hyperplane(c)
-    f = RingElement.fiber(c)
-    assert ring_multiply(xi, xi) == RingElement(c, {(1, 1): 3})
-    assert ring_multiply(f, f).is_zero()
-    u = DivisorClass(1, 2, c)
-    assert ring_power(u, 2) == RingElement(c, {(1, 1): 7})
-
-
-def test_ring_multiply_rejects_mismatched_contexts():
-    with pytest.raises(ContextMismatchError):
-        ring_multiply(RingElement.hyperplane(ctx(2, 3)), RingElement.hyperplane(ctx(2, 4)))
-
-
-def test_integrate_examples():
-    for n in (1, 2, 3, 5):
-        for d in (-2, 0, 7):
-            c = ctx(n, d)
-            assert integrate(RingElement(c, {(n - 1, 1): 1})) == 1
-            assert integrate(RingElement.hyperplane(c) ** n) == d
-            assert integrate(RingElement.one(c)) == 0
-
-
-def test_grothendieck_relation_reduces_to_zero():
-    # xi^n - d*xi^{n-1}F vanishes identically in the quotient ring
-    for n in range(1, 7):
-        for d in range(-10, 11):
-            c = ctx(n, d)
-            el = RingElement(c, {(n, 0): 1, (n - 1, 1): -d})
-            assert el.is_zero()
-
-
-def test_high_powers_vanish():
-    c = ctx(3, 5)
-    xi = RingElement.hyperplane(c)
-    assert (xi ** 4).is_zero()
-    f = RingElement.fiber(c)
-    assert (f * f).is_zero()
-    assert ((xi ** 3) * f).is_zero()
-
-
-def test_ring_add_sub_scalar():
-    c = ctx(2, 1)
-    xi = RingElement.hyperplane(c)
-    f = RingElement.fiber(c)
-    assert xi + f == RingElement(c, {(1, 0): 1, (0, 1): 1})
-    assert (xi - xi).is_zero()
-    assert 3 * f == RingElement(c, {(0, 1): 3})
-    assert Q(1, 2) * xi == RingElement(c, {(1, 0): Q(1, 2)})
-    with pytest.raises(TypeError):
-        f * 3  # scalars multiply from the left
-
-
 # -------------------------------------------------------- top power
 
 
@@ -105,18 +44,6 @@ def test_top_power_examples():
     assert top_power(DivisorClass(1, 2, ctx(2, 3))) == 7
     assert top_power(DivisorClass(1, 0, ctx(3, 0))) == 0
     assert top_power(DivisorClass(1, 2, ctx(2, 2, Convention.SUB))) == 2
-
-
-def test_top_power_matches_ring_reduction():
-    rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        d = rng.randint(-10, 10)
-        conv = rng.choice([Convention.QUOTIENT, Convention.SUB])
-        u = DivisorClass(Q(rng.randint(-9, 9), rng.randint(1, 9)),
-                         Q(rng.randint(-9, 9), rng.randint(1, 9)),
-                         ctx(n, d, conv))
-        assert top_power(u) == integrate(ring_power(u, n))
 
 
 # ---------------------------------------------------------- pairing

@@ -26,6 +26,12 @@ def test_brute_ring_power_examples():
         for d in (-3, 0, 5):
             ctx = BundleContext(n, d)
             assert brute_ring_power(DivisorClass(1, 0, ctx), n) == d
+            # h^{n-1}F = 1 makes (h + F)^n = e + n, with e = -d in the sub
+            # convention; powers below the top degree integrate to 0
+            assert brute_ring_power(DivisorClass(1, 1, ctx), n) == d + n
+            assert brute_ring_power(DivisorClass(1, 1, ctx), n - 1) == 0
+            sub = BundleContext(n, d, Convention.SUB)
+            assert brute_ring_power(DivisorClass(1, 1, sub), n) == n - d
             if n >= 2:
                 assert brute_ring_power(DivisorClass(0, 1, ctx), n) == 0
 
