@@ -43,6 +43,7 @@ DEFAULT_SEED = 2718
 
 _MAX_ORACLE_RANK = 6
 _MAX_ORACLE_POWER = 8
+_MAX_SWEEP_BUNDLES = 10**5
 
 
 class OracleGuardError(ValueError):
@@ -243,6 +244,15 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     return report
 
 
+def _guard_bundle_count(sweep: str, max_rank: int, max_abs_degree: int) -> None:
+    """Count the degree multisets a sweep walks, before walking them."""
+    span = max(2 * max_abs_degree + 1, 0)
+    if sum(math.comb(span + r - 1, r) for r in range(1, max_rank + 1)) > _MAX_SWEEP_BUNDLES:
+        raise OracleGuardError(f"{sweep} sweep over ranks up to {max_rank} and degrees up to "
+                               f"{max_abs_degree} in absolute value exceeds "
+                               f"{_MAX_SWEEP_BUNDLES} bundles")
+
+
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
     minimal-degree bound against raw enumeration."""
@@ -250,6 +260,7 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
         raise OracleGuardError(f"sympow sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
     if max_m > _MAX_ORACLE_POWER:
         raise OracleGuardError(f"sympow sweep capped at power {_MAX_ORACLE_POWER}, got {max_m}")
+    _guard_bundle_count("sympow", max_rank, max_abs_degree)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
@@ -284,6 +295,7 @@ def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3,
     """Run the cone positivity check over all decomposable bundles in range."""
     if max_rank > _MAX_ORACLE_RANK:
         raise OracleGuardError(f"cone sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
+    _guard_bundle_count("cone", max_rank, max_abs_degree)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)

@@ -155,6 +155,8 @@ USAGE_ERRORS = [
     "ring --rank 2 --deg 2 --class 1;2",
     "ring --rank 0 --deg 2 --class 1,0",
     "ring --rank 2 --deg 2 --class 1/0,1",
+    "ring --rank 10000 --deg 1 --class 3/7,1",
+    "ring --spec",
     "bundle sympow --degrees , -m 2",
     "bundle sympow --degrees " + ",".join(map(str, range(20))) + " -m 20",
     "cone --semistable 2,-3 --genus 0",
@@ -169,6 +171,8 @@ USAGE_ERRORS = [
     "check sympow --max-rank 0",
     "check ring --max-degree -1",
     "check cone --max-m 0",
+    "check sympow --max-rank 6 --max-degree 1000",
+    "check cone --max-rank 6 --max-degree 1000",
 ]
 
 
@@ -202,10 +206,13 @@ def test_spec_file_mode(tmp_path, capsys):
     assert main(["ring", "--spec", str(spec)]) == 0
     out = capsys.readouterr().out
     assert out == GOLDENS[0][1] + "\n"
-    # explicit flags override the spec file
-    assert main(["ring", "--spec", str(spec), "--class", "0,1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["class"] == {"x": "0", "y": "1"}
+    # explicit flags override the spec file, before or after --spec
+    for argv in (["ring", "--spec", str(spec), "--class", "0,1"],
+                 ["ring", "--class", "0,1", "--spec", str(spec)],
+                 ["ring", "--class", "0,1", f"--spec={spec}"]):
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == {"x": "0", "y": "1"}, argv
 
 
 def test_spec_file_blowdown(tmp_path, capsys):

@@ -70,6 +70,18 @@ def test_enumerate_guards():
         enumerate_sym_quotients(decomposable(0, 1), 9)
 
 
+def test_sweep_bundle_count_guard():
+    # Rank 6 with degrees up to 8 walks C(23, 6) - 1 = 100946 bundles, just
+    # past the 10^5 cap; up to 1000 it would be about 9.0e16.  The guard
+    # must refuse both before enumerating anything.
+    for max_abs_degree in (8, 1000):
+        with pytest.raises(OracleGuardError, match="exceeds 100000 bundles"):
+            sympow_sweep(max_rank=6, max_abs_degree=max_abs_degree, max_m=1)
+        with pytest.raises(OracleGuardError, match="exceeds 100000 bundles"):
+            cone_sweep(max_rank=6, max_abs_degree=max_abs_degree)
+    assert cone_sweep(max_rank=6, max_abs_degree=-1).lines == []
+
+
 def test_sample_cone_check_clean():
     report = sample_cone_check(decomposable(0, 2))
     assert report.all_passed
