@@ -82,9 +82,7 @@ class SemiStable:
     base: SurfaceGenus
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if self.base.g == 0 and self.degree % self.rank != 0:
+        if not semistable_exists(self.base, self.rank, self.degree):
             raise ValueError(
                 "over genus 0 every bundle splits; a semistable bundle of rank "
                 f"{self.rank} and degree {self.degree} does not exist"
@@ -150,8 +148,6 @@ def sym_power(b: BundleSpec, m: int) -> Decomposable:
     sum k_i = m }, counted with multiplicity.
     """
     b = _require_decomposable(b, "sym_power")
-    if m < 1:
-        raise ValueError(f"symmetric power exponent must be >= 1, got {m}")
     summands = sym_rank_degree(rank(b), degree(b), m)[0]
     if summands > _MAX_SYM_SUMMANDS:
         raise ValueError(f"symmetric power too large: {summands} summands, "

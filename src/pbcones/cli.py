@@ -127,6 +127,17 @@ def cmd_ring(args) -> CommandResult:
     ctx_degree = args.deg if conv is Convention.QUOTIENT else -args.deg
     ctx = BundleContext(args.rank, ctx_degree, conv, SurfaceGenus(args.genus))
     x, y = _parse_pair(args.class_xy, "--class")
+    # For x = a/b and y = c/d, u^n = a^(n-1)*(e*a*d + n*c*b) / (b^n*d) and the
+    # ratio is (e*a*d + n*c*b) / (a*d).  Refuse, before computing them, parts
+    # whose bit lengths could mean more digits than an int may print
+    # (0.30103 exceeds log10 2).
+    n, e = args.rank, ctx.top_coefficient
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    bits = max((n - 1) * a.bit_length() + (e * a * d + n * c * b).bit_length(),
+               n * b.bit_length() + d.bit_length(), a.bit_length() + d.bit_length())
+    digits, limit = bits * 30103 // 100000 + 1, sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise UsageError(f"the answer could have {digits} digits; ints print at most {limit}")
     u = DivisorClass(x, y, ctx)
     r = ratio(u)
     top, on_line, on_eta = top_power(u), pair(u, line_class(ctx)), pair(u, eta_class(ctx))
@@ -172,8 +183,6 @@ def cmd_bundle(args) -> CommandResult:
     b = Decomposable(degrees, SurfaceGenus(0))
     payload = {"action": args.action, "input": list(degrees)}
     if args.action == "sympow":
-        if args.m < 1:
-            raise UsageError(f"-m must be >= 1, got {args.m}")
         result = sym_power(b, args.m)
         payload.update(m=args.m, degrees=list(result.degrees),
                        rank=rank(result), degree=degree(result))
@@ -203,15 +212,12 @@ def cmd_cone(args) -> CommandResult:
         described = f"decomposable {list(b.degrees)}"
     else:
         r, d = _parse_pair(args.semistable, "--semistable", _parse_int)
-        if genus.g == 0 and (r < 1 or d % r != 0):
-            raise UsageError(f"no such semistable bundle: rank {r} does not divide "
-                             f"degree {d} over genus 0")
         b = SemiStable(r, d, genus)
         described = f"semistable rank {r} degree {d}"
 
     cone = curve_cone_decomposable(b)
     cone_ratio = kahler_cone_ratio(b)
-    equals_forward = cone.boundary_slope == slope(b)
+    equals_forward = cone_ratio == 0
     rays = [str(ray) for ray in cone.rays]
     human = [f"bundle: {described}, genus {args.genus}", f"extremal rays: {', '.join(rays)}"]
     if equals_forward:

@@ -88,9 +88,6 @@ class ConeDescription:
     boundary_slope: Fraction
     note: str = ""
 
-    def contains(self, u: DivisorClass) -> bool:
-        return u.x > 0 and self.boundary_slope * u.x + u.y > 0
-
 
 @dataclass(frozen=True)
 class SemistablePlusLine:
@@ -109,25 +106,21 @@ class SemistablePlusLine:
     def base(self) -> SurfaceGenus:
         return self.semistable.base
 
+    @property
+    def rank(self) -> int:
+        return self.semistable.rank + 1
+
+    @property
+    def degree(self) -> int:
+        return self.semistable.degree + self.line_degree
+
 
 AmbientBundle = Union[Decomposable, SemistablePlusLine]
 
 
-def _total_rank(b: BundleSpec | SemistablePlusLine) -> int:
-    if isinstance(b, SemistablePlusLine):
-        return b.semistable.rank + 1
-    return rank(b)
-
-
-def _total_degree(b: BundleSpec | SemistablePlusLine) -> int:
-    if isinstance(b, SemistablePlusLine):
-        return b.semistable.degree + b.line_degree
-    return degree(b)
-
-
 def bundle_context(b: BundleSpec | SemistablePlusLine,
                    convention: Convention = Convention.QUOTIENT) -> BundleContext:
-    return BundleContext(_total_rank(b), _total_degree(b), convention, b.base)
+    return BundleContext(rank(b), degree(b), convention, b.base)
 
 
 def balanced_form(b: SemiStable) -> Decomposable:
@@ -147,62 +140,59 @@ def plus_trivial_line(b: BundleSpec) -> AmbientBundle:
     return SemistablePlusLine(b, 0)
 
 
-def curve_cone_decomposable(b: BundleSpec) -> ConeDescription:
-    """Extremal rays of the curve cone of the projectivization of b.
+def _kahler_slope(b: BundleSpec | SemistablePlusLine) -> Fraction:
+    """The boundary slope s of the Kahler cone {x > 0, s*x + y > 0}.
 
-    Decomposable: the cone is spanned by l and a_1*l + eta where a_1 is
-    the minimal summand degree.  Every m-section comes from a quotient
+    Decomposable: the minimal summand degree a_1, the degree of the
+    extremal section.  Semistable: the slope, which over genus 0 is the
+    summand degree of the balanced splitting.  Semistable plus a line of
+    slope >= slope(V): every quotient line bundle of every symmetric power
+    has degree at least m * slope(V), so s = slope(V) bounds a half-plane
+    of Kahler classes; the exact boundary is not claimed.
+    """
+    if isinstance(b, Decomposable):
+        return Fraction(min(b.degrees))
+    if isinstance(b, SemiStable):
+        return slope(b)
+    s = slope(b.semistable)
+    if b.line_degree < s:
+        raise ValueError(
+            "Kahler cone unknown: the line summand slope is below the "
+            "semistable slope"
+        )
+    return s
+
+
+def kahler_cone(b: BundleSpec | SemistablePlusLine) -> ConeDescription:
+    """The Kahler cone of the projectivization, as an inequality pair, with
+    the extremal rays of its dual curve cone where they are known.
+
+    Decomposable: the curve cone is spanned by l and a_1*l + eta where a_1
+    is the minimal summand degree.  Every m-section comes from a quotient
     line bundle of the m-th symmetric power, whose degree is at least
     m*a_1 because all symmetric-power summands have degree >= m*a_1; the
     minimal summand's section attains the bound.
 
     Semistable over positive genus: only the l ray is pinned down, but the
     Kahler cone is exactly the forward cone, which the description records.
-    Genus-0 semistable bundles are balanced splittings and are handled as
-    such.
+    Genus-0 semistable bundles are balanced splittings and get the same
+    two rays as their splitting.
+
+    Semistable plus a line: a half-plane of Kahler classes, not the whole
+    Kahler cone, marked SUFFICIENT_ONLY.
     """
-    if isinstance(b, SemiStable):
-        if b.base.g == 0:
-            return curve_cone_decomposable(balanced_form(b))
-        ctx = bundle_context(b)
-        return ConeDescription(
-            rays=(line_class(ctx),),
-            exactness=Exactness.EXACT,
-            boundary_slope=slope(b),
-            note="Kahler cone equals the forward cone",
-        )
-    ctx = bundle_context(b)
-    a1 = min(b.degrees)
-    return ConeDescription(
-        rays=(line_class(ctx), CurveClass(a1, 1, ctx)),
-        exactness=Exactness.EXACT,
-        boundary_slope=Fraction(a1),
-    )
-
-
-def kahler_cone(b: BundleSpec | SemistablePlusLine) -> ConeDescription:
-    """The Kahler cone of the projectivization, as an inequality pair.
-
-    For a semistable-plus-line sum with line slope >= bundle slope, every
-    quotient line bundle of every symmetric power has degree at least
-    m * slope(V), so the half-plane y/x > -slope(V) consists of Kahler
-    classes; the exact boundary is not claimed.
-    """
+    s, ctx = _kahler_slope(b), bundle_context(b)
     if isinstance(b, SemistablePlusLine):
-        v = b.semistable
-        if Fraction(b.line_degree) < slope(v):
-            raise ValueError(
-                "Kahler cone unknown: the line summand slope is below the "
-                "semistable slope"
-            )
-        ctx = bundle_context(b)
-        return ConeDescription(
-            rays=(line_class(ctx),),
-            exactness=Exactness.SUFFICIENT_ONLY,
-            boundary_slope=slope(v),
-            note="half-plane sufficient for Kahler; exact boundary not claimed",
-        )
-    return curve_cone_decomposable(b)
+        return ConeDescription((line_class(ctx),), Exactness.SUFFICIENT_ONLY, s,
+                               note="half-plane sufficient for Kahler; exact boundary not claimed")
+    if isinstance(b, SemiStable) and b.base.g > 0:
+        return ConeDescription((line_class(ctx),), Exactness.EXACT, s,
+                               note="Kahler cone equals the forward cone")
+    return ConeDescription((line_class(ctx), CurveClass(int(s), 1, ctx)), Exactness.EXACT, s)
+
+
+# The curve cone and the Kahler cone are dual: one description gives both.
+curve_cone_decomposable = kahler_cone
 
 
 def kahler_membership(u: DivisorClass, b: BundleSpec | SemistablePlusLine) -> bool:
@@ -214,30 +204,29 @@ def kahler_membership(u: DivisorClass, b: BundleSpec | SemistablePlusLine) -> bo
     """
     if u.ctx.convention is not Convention.QUOTIENT:
         raise ValueError("Kahler membership is computed in the quotient convention")
-    if (u.ctx.rank != _total_rank(b) or u.ctx.degree != _total_degree(b)
-            or u.ctx.genus != b.base):
+    ctx = bundle_context(b)
+    if u.ctx != ctx:
         raise ValueError(
             f"class context (rank {u.ctx.rank}, degree {u.ctx.degree}, "
             f"genus {u.ctx.genus.g}) does not match the bundle "
-            f"(rank {_total_rank(b)}, degree {_total_degree(b)}, genus {b.base.g})"
+            f"(rank {ctx.rank}, degree {ctx.degree}, genus {ctx.genus.g})"
         )
-    return kahler_cone(b).contains(u)
+    s = _kahler_slope(b)  # an unknown cone raises whatever u is
+    return u.x > 0 and s * u.x + u.y > 0
 
 
 def kahler_cone_ratio(b: BundleSpec) -> Fraction:
     """Infimum of the ratio over the Kahler cone (not attained).
 
-    For a decomposable bundle with degrees a_j the ratio rewrites as
-    sum(a_j - a_1) + n*(a_1*x + y)/x, so the infimum over the cone
-    a_1*x + y > 0 is sum(a_j - a_1).  Semistable bundles give 0.
+    The ratio rewrites as n*(slope - s) + n*(s*x + y)/x, so over the cone
+    s*x + y > 0 the infimum is n*(slope - s): sum(a_j - a_1) for degrees
+    a_j, 0 for a semistable bundle.  A semistable-plus-line sum is
+    refused: its s bounds the cone from inside only.
     """
-    if isinstance(b, SemiStable):
-        if b.base.g == 0:
-            b = balanced_form(b)
-        else:
-            return Fraction(0)
-    a1 = min(b.degrees)
-    return Fraction(sum(a - a1 for a in b.degrees))
+    if isinstance(b, SemistablePlusLine):
+        raise ValueError("Kahler cone ratio needs the exact cone; a semistable-plus-line "
+                         "sum has a sufficient half-plane only")
+    return rank(b) * (slope(b) - _kahler_slope(b))
 
 
 def min_symplectic_ratio(ctx: BundleContext) -> Fraction:
@@ -306,10 +295,8 @@ def restricted_ratio(alpha: int, n: int, genus: SurfaceGenus) -> RestrictedRatio
     genus 0 the answer is max(t, alpha) with t = alpha mod n, coming from
     the balanced-as-possible splitting.  The infimum is never attained.
     """
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    value = Fraction(max(0, admissibility_bound(alpha, n, genus)))
-    return RestrictedRatioResult(value, matching_bundle(alpha, n, genus))
+    bundle = matching_bundle(alpha, n, genus)  # refuses n < 1 before any division
+    return RestrictedRatioResult(Fraction(max(0, admissibility_bound(alpha, n, genus))), bundle)
 
 
 def restrict_to_divisor(u: DivisorClass) -> DivisorClass:

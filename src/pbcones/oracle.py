@@ -44,6 +44,7 @@ DEFAULT_SEED = 2718
 _MAX_ORACLE_RANK = 6
 _MAX_ORACLE_POWER = 8
 _MAX_SWEEP_BUNDLES = 10**5
+_MAX_RING_CLASSES = 10**6
 
 
 class OracleGuardError(ValueError):
@@ -226,6 +227,10 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     random rational classes, for every rank, degree and convention."""
     if max_rank > _MAX_ORACLE_RANK:
         raise OracleGuardError(f"ring sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
+    classes = max(max_rank, 0) * max(2 * max_abs_degree + 1, 0) * len(Convention) * max(samples, 0)
+    if classes > _MAX_RING_CLASSES:
+        raise OracleGuardError(f"ring sweep would sample {classes} classes, more than "
+                               f"{_MAX_RING_CLASSES}")
     report = CheckReport()
     rng = random.Random(seed)
     for n in range(1, max_rank + 1):

@@ -157,9 +157,13 @@ USAGE_ERRORS = [
     "ring --rank 2 --deg 2 --class 1/0,1",
     "ring --rank 10000 --deg 1 --class 3/7,1",
     "ring --spec",
+    # u^n would have about 4e6 digits, past the int-to-str limit
+    "ring --rank 1000 --deg 1 --class 1" + "0" * 4000 + ",1 --json",
     "bundle sympow --degrees , -m 2",
     "bundle sympow --degrees " + ",".join(map(str, range(20))) + " -m 20",
+    "bundle sympow --degrees 0,2 -m 0",
     "cone --semistable 2,-3 --genus 0",
+    "cone --semistable 0,2 --genus 1",
     "cone --degrees 1,2 --semistable 2,2",
     "cone --degrees 0,2 --class 0/0,1",
     "blowdown --genus 0 --alpha 2 --class 1,1",
@@ -173,6 +177,8 @@ USAGE_ERRORS = [
     "check cone --max-m 0",
     "check sympow --max-rank 6 --max-degree 1000",
     "check cone --max-rank 6 --max-degree 1000",
+    "check ring --max-degree 100000",
+    "check ring --samples 100000",
 ]
 
 

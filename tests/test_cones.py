@@ -174,17 +174,28 @@ def test_kahler_cone_ratio_examples():
     assert kahler_cone_ratio(decomposable(0, 2)) == 2
     assert kahler_cone_ratio(semi_stable(2, -3, genus=1)) == 0
     assert kahler_cone_ratio(decomposable(4, 4, 4)) == 0
+    # the half-plane of a semistable-plus-line sum is sufficient only
+    with pytest.raises(ValueError):
+        kahler_cone_ratio(SemistablePlusLine(semi_stable(2, -3, genus=1), 0))
 
 
 def test_genus0_semistable_equals_balanced_decomposable():
-    s = semi_stable(2, 4, genus=0)
-    b = balanced_form(s)
-    assert b == decomposable(2, 2)
-    assert kahler_cone_ratio(s) == kahler_cone_ratio(b)
-    for x in (1, 2):
-        for y in (-3, -2, 0, 1):
-            u = cls(s, x, y)
-            assert kahler_membership(u, s) == kahler_membership(cls(b, x, y), b)
+    assert balanced_form(semi_stable(2, 4, genus=0)) == decomposable(2, 2)
+    for r in (1, 2, 3, 4):
+        for d in range(-8, 9):
+            if d % r:
+                continue
+            s = semi_stable(r, d, genus=0)
+            b = balanced_form(s)
+            cs, cb = curve_cone_decomposable(s), curve_cone_decomposable(b)
+            assert cs.rays == cb.rays, (r, d)
+            assert cs.boundary_slope == cb.boundary_slope == Q(d, r)
+            assert cs.exactness is cb.exactness is Exactness.EXACT
+            assert kahler_cone_ratio(s) == kahler_cone_ratio(b) == 0
+            for x in (-1, 0, 1, 2):
+                for y in range(-12, 13):
+                    u = cls(s, x, y)
+                    assert kahler_membership(u, s) == kahler_membership(cls(b, x, y), b)
 
 
 def test_min_symplectic_ratio_examples():

@@ -82,6 +82,17 @@ def test_sweep_bundle_count_guard():
     assert cone_sweep(max_rank=6, max_abs_degree=-1).lines == []
 
 
+def test_ring_sweep_class_count_guard():
+    # 6 ranks x 21 degrees x 2 conventions x 3969 samples = 1,000,188
+    # classes, just past the 10^6 cap (the acceptance run samples 252,000);
+    # the guard refuses before sampling anything.
+    for sizes in (dict(samples=3969), dict(max_abs_degree=100000, samples=50),
+                  dict(samples=100000)):
+        with pytest.raises(OracleGuardError, match="more than 1000000"):
+            ring_sweep(**sizes)
+    assert ring_sweep(max_rank=0).lines == []
+
+
 def test_sample_cone_check_clean():
     report = sample_cone_check(decomposable(0, 2))
     assert report.all_passed
