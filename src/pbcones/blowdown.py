@@ -27,7 +27,7 @@ areas agree (ratio exactly 2 on both rulings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -37,7 +37,7 @@ from .cohomology import (
     Convention,
     DivisorClass,
     forward_ratio,
-    in_forward_cone,
+    ratio,
 )
 from .cones import (
     AmbientBundle,
@@ -90,47 +90,41 @@ def alpha_from_blowup_normal(deg_normal_of_surface: int) -> int:
 class ExceptionalDivisorData:
     """A fibred divisor candidate for blowing down.
 
-    base_genus None means the divisor is a projective space over a point
-    (in dimension six: a plane with normal degree -1); the remaining
-    fields are then absent.  Over a surface the class of the restricted
-    symplectic form lives in the sub convention on the rank-n model of
-    degree -alpha and must lie in the forward cone.  ruled_areas is the
-    area pair of the two rulings, present exactly in the genus-0, rank-2,
-    alpha = 2 case where the divisor is a product of spheres with two
-    blow-down candidates.
+    omega_class is the class of the restricted symplectic form, in the sub
+    convention on the rank-n model of degree -alpha; it must lie in the
+    forward cone.  None means the divisor is a projective space over a
+    point (in dimension six: a plane with normal degree -1).  base_genus,
+    fiber_rank, alpha and the class ratio rho are read off the class, and
+    are None over a point.  ruled_areas is the area pair of the two
+    rulings, present exactly in the genus-0, rank-2, alpha = 2 case where
+    the divisor is a product of spheres with two blow-down candidates.
     """
 
-    base_genus: SurfaceGenus | None
-    fiber_rank: int | None
-    alpha: int | None
     omega_class: DivisorClass | None
     ruled_areas: tuple[Fraction, Fraction] | None = None
+    base_genus: SurfaceGenus | None = field(init=False)
+    fiber_rank: int | None = field(init=False)
+    alpha: int | None = field(init=False)
+    rho: Fraction | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.base_genus is None:
-            if any(v is not None for v in
-                   (self.fiber_rank, self.alpha, self.omega_class, self.ruled_areas)):
-                raise ValueError("point-base divisor data carries no bundle fields")
-            return
-        if self.fiber_rank is None or self.fiber_rank < 1:
-            raise ValueError("surface-base divisor data needs a positive fiber rank")
-        if self.alpha is None or self.omega_class is None:
-            raise ValueError("surface-base divisor data needs alpha and a symplectic class")
         u = self.omega_class
-        expected = BundleContext(self.fiber_rank, -self.alpha, Convention.SUB, self.base_genus)
-        if u.ctx != expected:
-            raise ValueError(
-                f"the symplectic class must live on {expected}, got {u.ctx}"
-            )
-        if not in_forward_cone(u):
-            raise ValueError(
-                "the restricted symplectic class must lie in the forward cone"
-            )
+        derived = (None, None, None, None)
+        if u is not None:
+            if u.ctx.convention is not Convention.SUB:
+                raise ValueError(f"the symplectic class must live in the sub convention, "
+                                 f"got {u.ctx}")
+            r = ratio(u)
+            if not r.in_forward_cone:
+                raise ValueError("the restricted symplectic class must lie in the forward cone")
+            derived = (u.ctx.genus, u.ctx.rank, -u.ctx.degree, r.value)
+        for name, value in zip(("base_genus", "fiber_rank", "alpha", "rho"), derived):
+            object.__setattr__(self, name, value)
         if self.ruled_areas is not None:
-            object.__setattr__(
-                self, "ruled_areas",
-                (Fraction(self.ruled_areas[0]), Fraction(self.ruled_areas[1])),
-            )
+            if u is None:
+                raise ValueError("point-base divisor data carries no ruling areas")
+            x, y = self.ruled_areas
+            object.__setattr__(self, "ruled_areas", (Fraction(x), Fraction(y)))
         if self.is_double_ruling_case:
             if self.ruled_areas is None:
                 raise ValueError(
@@ -140,9 +134,9 @@ class ExceptionalDivisorData:
             x, y = self.ruled_areas
             if x <= 0 or y <= 0:
                 raise ValueError("ruling areas must be positive")
-            if forward_ratio(u) != 2 * y / x:
+            if self.rho != 2 * y / x:
                 raise ValueError(
-                    f"inconsistent data: the class ratio {forward_ratio(u)} must "
+                    f"inconsistent data: the class ratio {self.rho} must "
                     f"equal 2*(second area)/(first area) = {2 * y / x}"
                 )
         elif self.ruled_areas is not None:
@@ -164,7 +158,7 @@ class ExceptionalDivisorData:
 
     @classmethod
     def point(cls) -> "ExceptionalDivisorData":
-        return cls(None, None, None, None)
+        return cls(None)
 
     @classmethod
     def over_surface(cls, genus: int, alpha: int,
@@ -172,13 +166,8 @@ class ExceptionalDivisorData:
                      fiber_rank: int = 2,
                      ruled_areas: tuple[Rational, Rational] | None = None,
                      ) -> "ExceptionalDivisorData":
-        g = SurfaceGenus(genus)
-        ctx = BundleContext(fiber_rank, -alpha, Convention.SUB, g)
-        omega = DivisorClass(Fraction(omega_xy[0]), Fraction(omega_xy[1]), ctx)
-        areas = None
-        if ruled_areas is not None:
-            areas = (Fraction(ruled_areas[0]), Fraction(ruled_areas[1]))
-        return cls(g, fiber_rank, alpha, omega, areas)
+        ctx = BundleContext(fiber_rank, -alpha, Convention.SUB, SurfaceGenus(genus))
+        return cls(DivisorClass(omega_xy[0], omega_xy[1], ctx), ruled_areas)
 
     @classmethod
     def from_ruled_areas(cls, first: Rational, second: Rational) -> "ExceptionalDivisorData":
@@ -197,8 +186,7 @@ def is_admissible(d: ExceptionalDivisorData) -> bool:
     if d.is_point_base:
         raise ValueError("admissibility is a surface-base notion; a plane divisor "
                          "of normal degree -1 blows down unconditionally")
-    rho = forward_ratio(d.omega_class)
-    return rho > admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
+    return d.rho > admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
 
 
 @dataclass(frozen=True)
@@ -242,18 +230,16 @@ def build_matching_triple(d: ExceptionalDivisorData) -> MatchingTripleCertificat
 
     The model bundle V has degree alpha and rank n; the Kahler class is the
     canonical integral representative restricting to the divisor's exact
-    ratio.  Raises NotAdmissibleError when the ratio bound fails.
+    ratio.  Raises NotAdmissibleError when the ratio bound fails, and
+    is_admissible's ValueError for a point-base divisor.
     """
-    if d.is_point_base:
-        raise ValueError("point-base divisors blow down without a matching triple")
-    rho = forward_ratio(d.omega_class)
-    bound = admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
-    if rho <= bound:
+    if not is_admissible(d):
+        bound = admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
         raise NotAdmissibleError(
-            f"ratio {rho} does not exceed the admissibility bound {bound}"
+            f"ratio {d.rho} does not exceed the admissibility bound {bound}"
         )
     v = matching_bundle(d.alpha, d.fiber_rank, d.base_genus)
-    u = kahler_class_for_ratio(d.alpha, d.fiber_rank, d.base_genus, rho)
+    u = kahler_class_for_ratio(d.alpha, d.fiber_rank, d.base_genus, d.rho)
     notes = [_DEFORMATION_NOTE]
     if d.fiber_rank == 2:
         notes.append(_DIM6_NOTE)
@@ -261,7 +247,7 @@ def build_matching_triple(d: ExceptionalDivisorData) -> MatchingTripleCertificat
         model_bundle=v,
         ambient_bundle=plus_trivial_line(v),
         kahler_class=u,
-        restricted_ratio=rho,
+        restricted_ratio=d.rho,
         notes=tuple(notes),
     )
 
@@ -383,11 +369,10 @@ def validate_certificate(c: MatchingTripleCertificate,
 
     try:
         actual = forward_ratio(restrict_to_divisor(c.kahler_class))
-        target = forward_ratio(d.omega_class)
-        if actual != target:
+        if actual != d.rho:
             failures.append(
                 f"restricted ratio mismatch: certificate restricts to {actual}, "
-                f"divisor class has ratio {target}"
+                f"divisor class has ratio {d.rho}"
             )
         if c.restricted_ratio != actual:
             failures.append(

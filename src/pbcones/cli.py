@@ -289,7 +289,7 @@ def cmd_blowdown(args) -> CommandResult:
         "genus": None if point else data.base_genus.g,
         "fiber_rank": data.fiber_rank,
         "alpha": data.alpha,
-        "ratio": None if point else str(ratio(data.omega_class).value),
+        "ratio": None if point else str(data.rho),
         "certificate": cert_payload,
     }
     human = [verdict.kind.value]

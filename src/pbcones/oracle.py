@@ -44,6 +44,7 @@ DEFAULT_SEED = 2718
 _MAX_ORACLE_RANK = 6
 _MAX_ORACLE_POWER = 8
 _MAX_SWEEP_BUNDLES = 10**5
+_MAX_SWEEP_DEGREES = 10**6
 _MAX_RING_CLASSES = 10**6
 
 
@@ -249,13 +250,22 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     return report
 
 
-def _guard_bundle_count(sweep: str, max_rank: int, max_abs_degree: int) -> None:
-    """Count the degree multisets a sweep walks, before walking them."""
+def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_power: int) -> None:
+    """Count the degree multisets a sweep walks, and the summand degrees of
+    their symmetric powers up to max_power, before walking them."""
     span = max(2 * max_abs_degree + 1, 0)
-    if sum(math.comb(span + r - 1, r) for r in range(1, max_rank + 1)) > _MAX_SWEEP_BUNDLES:
+    bundles = {r: math.comb(span + r - 1, r) for r in range(1, max_rank + 1)}
+    if sum(bundles.values()) > _MAX_SWEEP_BUNDLES:
         raise OracleGuardError(f"{sweep} sweep over ranks up to {max_rank} and degrees up to "
                                f"{max_abs_degree} in absolute value exceeds "
                                f"{_MAX_SWEEP_BUNDLES} bundles")
+    # sum over m = 1..M of C(m + r - 1, r - 1) is C(M + r, r) - 1
+    degrees = sum(count * (math.comb(max(max_power, 0) + r, r) - 1)
+                  for r, count in bundles.items())
+    if degrees > _MAX_SWEEP_DEGREES:
+        raise OracleGuardError(f"{sweep} sweep up to rank {max_rank}, degree {max_abs_degree} "
+                               f"and power {max_power} enumerates {degrees} summand degrees, "
+                               f"more than {_MAX_SWEEP_DEGREES}")
 
 
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
@@ -265,7 +275,7 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
         raise OracleGuardError(f"sympow sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
     if max_m > _MAX_ORACLE_POWER:
         raise OracleGuardError(f"sympow sweep capped at power {_MAX_ORACLE_POWER}, got {max_m}")
-    _guard_bundle_count("sympow", max_rank, max_abs_degree)
+    _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
@@ -300,7 +310,7 @@ def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3,
     """Run the cone positivity check over all decomposable bundles in range."""
     if max_rank > _MAX_ORACLE_RANK:
         raise OracleGuardError(f"cone sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
-    _guard_bundle_count("cone", max_rank, max_abs_degree)
+    _guard_sweep_size("cone", max_rank, max_abs_degree, grid.max_multisection)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)

@@ -18,6 +18,8 @@ from pbcones.blowdown import (
 )
 from pbcones.bundles import SurfaceGenus, decomposable, degree, rank, semi_stable
 from pbcones.cohomology import (
+    BundleContext,
+    Convention,
     DivisorClass,
     forward_ratio,
 )
@@ -61,6 +63,30 @@ def test_divisor_data_validation():
     d = divisor(0, 2, (1, 1), areas=(1, 2))
     assert forward_ratio(d.omega_class) == 4
     assert d.normal_fiber_degree == -1
+    # the class must be in the sub convention; a point carries no areas
+    quotient = DivisorClass(1, 1, BundleContext(2, 1, Convention.QUOTIENT))
+    with pytest.raises(ValueError, match="sub convention"):
+        ExceptionalDivisorData(quotient)
+    with pytest.raises(ValueError, match="ruling areas"):
+        ExceptionalDivisorData(None, ruled_areas=(1, 2))
+
+
+def test_derived_fields_read_off_the_class():
+    for g in (0, 1, 2):
+        for n in (1, 2, 3):
+            for alpha in (-3, 0, 1, 2, 4):
+                if (g, n, alpha) == (0, 2, 2):
+                    continue  # the sphere product, covered by from_ruled_areas
+                for rho in (Q(1, 3), Q(5, 2), 7):
+                    x = Q(3, 2)
+                    d = divisor(g, alpha, (x, (rho - alpha) * x / n), n=n)
+                    assert (d.base_genus, d.fiber_rank, d.alpha) == (SurfaceGenus(g), n, alpha)
+                    assert d.rho == rho == forward_ratio(d.omega_class)
+    d = divisor(1, -1, (1, Q(3, 5)))
+    other = DivisorClass(2, 7, BundleContext(3, -4, Convention.SUB, SurfaceGenus(2)))
+    e = replace(d, omega_class=other)
+    assert (e.base_genus, e.fiber_rank, e.alpha, e.rho) == (SurfaceGenus(2), 3, 4, Q(29, 2))
+    assert replace(d, omega_class=None).rho is None
 
 
 def test_from_ruled_areas():
@@ -74,6 +100,7 @@ def test_from_ruled_areas():
 def test_point_data():
     d = ExceptionalDivisorData.point()
     assert d.is_point_base
+    assert (d.base_genus, d.fiber_rank, d.alpha, d.rho) == (None, None, None, None)
     with pytest.raises(ValueError):
         is_admissible(d)
     with pytest.raises(ValueError):

@@ -177,6 +177,9 @@ USAGE_ERRORS = [
     "check cone --max-m 0",
     "check sympow --max-rank 6 --max-degree 1000",
     "check cone --max-rank 6 --max-degree 1000",
+    # under the bundle cap, but about 1.3e8 enumerated summand degrees
+    "check sympow --max-rank 6 --max-m 8 --max-degree 7",
+    "check cone --max-rank 6 --max-m 8 --max-degree 7",
     "check ring --max-degree 100000",
     "check ring --samples 100000",
 ]

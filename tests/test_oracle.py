@@ -2,11 +2,14 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from pbcones import oracle
 from pbcones.cohomology import BundleContext, Convention, DivisorClass, top_power
-from pbcones.bundles import decomposable, sym_power
+from pbcones.bundles import SurfaceGenus, decomposable, sym_power
+from pbcones.cones import matching_bundle, restricted_ratio
 from pbcones.oracle import (
     GridSpec,
     OracleGuardError,
@@ -82,6 +85,24 @@ def test_sweep_bundle_count_guard():
     assert cone_sweep(max_rank=6, max_abs_degree=-1).lines == []
 
 
+def test_sweep_summand_degree_guard(monkeypatch):
+    # Rank 6, degrees up to 7 and powers up to 8: 54,263 bundles, under the
+    # bundle cap, but 132,939,688 enumerated summand degrees, past the 10^6
+    # cap (the acceptance sweeps enumerate 142,230 and 234,795).  The guard
+    # refuses before any enumeration.
+    def enumerated(*args):
+        raise AssertionError("the sweep enumerated before its size guard")
+
+    monkeypatch.setattr(oracle, "enumerate_sym_quotients", enumerated)
+    with pytest.raises(OracleGuardError, match="enumerates 132939688 summand degrees"):
+        sympow_sweep(max_rank=6, max_abs_degree=7, max_m=8)
+    with pytest.raises(OracleGuardError, match="more than 1000000"):
+        cone_sweep(max_rank=6, max_abs_degree=7, grid=GridSpec(max_multisection=8))
+    # the cone sweep's power is its grid's multisection bound
+    with pytest.raises(OracleGuardError, match="summand degrees"):
+        cone_sweep(max_rank=2, max_abs_degree=3, grid=GridSpec(max_multisection=10**4))
+
+
 def test_ring_sweep_class_count_guard():
     # 6 ranks x 21 degrees x 2 conventions x 3969 samples = 1,000,188
     # classes, just past the 10^6 cap (the acceptance run samples 252,000);
@@ -132,3 +153,23 @@ def test_reports_are_deterministic():
     a = ring_sweep(seed=5, max_rank=2, max_abs_degree=1, samples=10).render()
     b = ring_sweep(seed=5, max_rank=2, max_abs_degree=1, samples=10).render()
     assert a == b
+
+
+def test_restricted_ratio_matches_enumerated_infimum():
+    # Independent of the cones module: for V = O(a_1) + ... + O(a_n) over
+    # P^1 with a_1 <= ... <= a_n, the Kleiman criterion on P(V + O) puts the
+    # restriction ratios of ambient Kahler classes on P(V) above
+    # alpha - n*min(a_1, 0).  The restricted-ratio infimum is the least of
+    # these over every V of degree alpha.
+    g0 = SurfaceGenus(0)
+    for n in range(1, 5):
+        infima: dict[int, dict[tuple[int, ...], int]] = {}
+        for degrees in combinations_with_replacement(range(-8, 9), n):
+            alpha = sum(degrees)
+            if -6 <= alpha <= 6:
+                infima.setdefault(alpha, {})[degrees] = alpha - n * min(degrees[0], 0)
+        for alpha in range(-6, 7):
+            least = min(infima[alpha].values())
+            assert restricted_ratio(alpha, n, g0).value == least, (alpha, n)
+            model = matching_bundle(alpha, n, g0).degrees
+            assert infima[alpha][model] == least, (alpha, n, model)
