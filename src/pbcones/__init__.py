@@ -10,7 +10,6 @@ from .bundles import (
     degree,
     dual,
     is_semistable,
-    quotient_line_degree_bounds,
     rank,
     semi_stable,
     semistable_exists,
@@ -43,14 +42,11 @@ from .cones import (
     RestrictedRatioResult,
     SemistablePlusLine,
     admissibility_bound,
-    curve_cone_decomposable,
     kahler_class_for_ratio,
     kahler_cone,
     kahler_cone_ratio,
     kahler_membership,
     matching_bundle,
-    min_symplectic_ratio,
-    multisection_degree_bound,
     plus_trivial_line,
     restrict_to_divisor,
     restricted_ratio,
@@ -62,7 +58,6 @@ from .blowdown import (
     NotAdmissibleError,
     Ruling,
     VerdictKind,
-    alpha_from_blowup_normal,
     blowdown_verdict_dim6,
     build_matching_triple,
     is_admissible,

@@ -50,7 +50,6 @@ from .cones import (
 )
 
 __all__ = [
-    "NORMAL_FIBER_DEGREE",
     "ExceptionalDivisorData",
     "MatchingTripleCertificate",
     "BlowdownVerdict",
@@ -58,7 +57,6 @@ __all__ = [
     "Ruling",
     "CertificateValidation",
     "NotAdmissibleError",
-    "alpha_from_blowup_normal",
     "admissibility_bound",
     "is_admissible",
     "build_matching_triple",
@@ -67,23 +65,11 @@ __all__ = [
     "validate_certificate",
 ]
 
-# Pairing of c1 of the normal bundle with a line in a fiber; fixed by the
-# fiberwise-tautological normal bundle condition, not user data.
-NORMAL_FIBER_DEGREE = -1
-
 Rational = Fraction | int
 
 
 class NotAdmissibleError(ValueError):
     """The divisor's ratio does not clear the admissibility bound."""
-
-
-def alpha_from_blowup_normal(deg_normal_of_surface: int) -> int:
-    """Signed normal self-intersection of the divisor created by blowing up
-    a surface whose normal bundle has the given degree.  Applying the map
-    twice inverts it, so it also recovers the blow-down target's normal
-    degree from alpha."""
-    return -deg_normal_of_surface
 
 
 @dataclass(frozen=True)
@@ -152,10 +138,6 @@ class ExceptionalDivisorData:
         return (self.base_genus is not None and self.base_genus.g == 0
                 and self.fiber_rank == 2 and self.alpha == 2)
 
-    @property
-    def normal_fiber_degree(self) -> int:
-        return NORMAL_FIBER_DEGREE
-
     @classmethod
     def point(cls) -> "ExceptionalDivisorData":
         return cls(None)
@@ -210,13 +192,6 @@ class MatchingTripleCertificate:
     weak: bool = True
     notes: tuple[str, ...] = ()
 
-    def triple_description(self) -> dict[str, str]:
-        return {
-            "total_space": "P(V + O)",
-            "divisor": "P(V)",
-            "section": "P(O)",
-        }
-
 
 _DEFORMATION_NOTE = ("certifies blowing down up to an integral deformation of the "
                      "symplectic form; whether the deformation step can be dropped "
@@ -228,10 +203,13 @@ _DIM6_NOTE = ("fiber dimension one: a class-level (weak) match already yields a 
 def build_matching_triple(d: ExceptionalDivisorData) -> MatchingTripleCertificate:
     """Construct the certificate for an admissible divisor.
 
-    The model bundle V has degree alpha and rank n; the Kahler class is the
-    canonical integral representative restricting to the divisor's exact
-    ratio.  Raises NotAdmissibleError when the ratio bound fails, and
-    is_admissible's ValueError for a point-base divisor.
+    The triple is built here, once: the model bundle V of degree alpha and
+    rank n (matching_bundle), its ambient bundle V + O (plus_trivial_line),
+    and the canonical integral Kahler class restricting to the divisor's
+    exact ratio (kahler_class_for_ratio, which builds no bundle).
+    validate_certificate checks the result independently.  Raises
+    NotAdmissibleError when the ratio bound fails, and is_admissible's
+    ValueError for a point-base divisor.
     """
     if not is_admissible(d):
         bound = admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)

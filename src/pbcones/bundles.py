@@ -34,7 +34,6 @@ __all__ = [
     "sym_power",
     "sym_rank_degree",
     "is_semistable",
-    "quotient_line_degree_bounds",
     "semistable_exists",
 ]
 
@@ -181,17 +180,6 @@ def is_semistable(b: BundleSpec) -> bool:
     if isinstance(b, SemiStable):
         return True
     return len(set(b.degrees)) == 1
-
-
-def quotient_line_degree_bounds(b: BundleSpec) -> tuple[int, int]:
-    """Sharp degree bounds (min quotient, max sub) for line bundles of b.
-
-    For a direct sum of line bundles, every quotient line bundle has
-    degree >= the minimal summand degree and every line subbundle has
-    degree <= the maximal one; the summands themselves attain both.
-    """
-    b = _require_decomposable(b, "quotient_line_degree_bounds")
-    return b.degrees[0], b.degrees[-1]
 
 
 def semistable_exists(genus: SurfaceGenus, r: int, d: int) -> bool:

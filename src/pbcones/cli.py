@@ -50,7 +50,7 @@ from .cohomology import (
     topological_type,
 )
 from .cones import (
-    curve_cone_decomposable,
+    kahler_cone,
     kahler_cone_ratio,
     kahler_membership,
 )
@@ -215,7 +215,7 @@ def cmd_cone(args) -> CommandResult:
         b = SemiStable(r, d, genus)
         described = f"semistable rank {r} degree {d}"
 
-    cone = curve_cone_decomposable(b)
+    cone = kahler_cone(b)
     cone_ratio = kahler_cone_ratio(b)
     equals_forward = cone_ratio == 0
     rays = [str(ray) for ray in cone.rays]
@@ -248,22 +248,27 @@ def cmd_cone(args) -> CommandResult:
 
 def cmd_blowdown(args) -> CommandResult:
     if args.base == "point":
+        surface_flags = (("--genus", args.genus), ("--alpha", args.alpha),
+                         ("--class", args.class_xy), ("--ruled-areas", args.ruled_areas),
+                         ("--fiber-rank", args.fiber_rank))
+        given = [flag for flag, value in surface_flags if value is not None]
+        if given:
+            raise UsageError(f"--base point takes no divisor data; drop {', '.join(given)}")
         data = ExceptionalDivisorData.point()
     else:
         if args.genus is None or args.alpha is None:
             raise UsageError("surface-base blow-down needs --genus and --alpha "
                              "(or --base point)")
+        n = 2 if args.fiber_rank is None else args.fiber_rank
         areas = None
         if args.ruled_areas is not None:
             areas = _parse_pair(args.ruled_areas, "--ruled-areas")
         if args.class_xy is not None:
-            # --convention only relabels the presentation; the coordinates
-            # agree in both conventions for the same quotient-degree alpha.
             data = ExceptionalDivisorData.over_surface(
                 args.genus, args.alpha, _parse_pair(args.class_xy, "--class"),
-                fiber_rank=args.fiber_rank, ruled_areas=areas)
+                fiber_rank=n, ruled_areas=areas)
         elif areas is not None:
-            if not (args.genus == 0 and args.alpha == 2 and args.fiber_rank == 2):
+            if not (args.genus == 0 and args.alpha == 2 and n == 2):
                 raise UsageError("--ruled-areas without --class only applies to "
                                  "the genus-0, alpha=2 sphere product")
             data = ExceptionalDivisorData.from_ruled_areas(*areas)
@@ -391,9 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "degree of the model bundle)")
     blow.add_argument("--class", dest="class_xy", default=None, metavar="X,Y",
                       help="restricted symplectic class")
-    blow.add_argument("--convention", choices=["sub", "quotient"], default="sub",
-                      help="presentation only; the output is the same for both")
-    blow.add_argument("--fiber-rank", type=int, default=2)
+    blow.add_argument("--convention", choices=["sub", "quotient"], default=None,
+                      help="no effect (the class coordinates agree in both "
+                           "conventions); will be removed")
+    blow.add_argument("--fiber-rank", type=int, default=None,
+                      help="fiber rank n of a surface-base divisor (default 2)")
     blow.add_argument("--ruled-areas", default=None, metavar="X,Y")
     blow.set_defaults(func=cmd_blowdown)
 
@@ -468,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.command == "blowdown" and args.convention is not None:
+        print("notice: blowdown --convention has no effect and will be removed",
+              file=sys.stderr)
     for line in [json.dumps({"command": args.command, **payload})] if args.json else human:
         print(line)
     return code

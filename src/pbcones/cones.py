@@ -37,7 +37,6 @@ from .cohomology import (
     DivisorClass,
     line_class,
     topological_residue,
-    topological_type,
 )
 
 __all__ = [
@@ -51,12 +50,9 @@ __all__ = [
     "bundle_context",
     "balanced_form",
     "plus_trivial_line",
-    "curve_cone_decomposable",
     "kahler_cone",
     "kahler_membership",
     "kahler_cone_ratio",
-    "min_symplectic_ratio",
-    "multisection_degree_bound",
     "matching_bundle",
     "restricted_ratio",
     "kahler_class_for_ratio",
@@ -191,10 +187,6 @@ def kahler_cone(b: BundleSpec | SemistablePlusLine) -> ConeDescription:
     return ConeDescription((line_class(ctx), CurveClass(int(s), 1, ctx)), Exactness.EXACT, s)
 
 
-# The curve cone and the Kahler cone are dual: one description gives both.
-curve_cone_decomposable = kahler_cone
-
-
 def kahler_membership(u: DivisorClass, b: BundleSpec | SemistablePlusLine) -> bool:
     """Whether u is a Kahler class on the projectivization of b.
 
@@ -229,28 +221,6 @@ def kahler_cone_ratio(b: BundleSpec) -> Fraction:
     return rank(b) * (slope(b) - _kahler_slope(b))
 
 
-def min_symplectic_ratio(ctx: BundleContext) -> Fraction:
-    """Infimum of ratios over all fibred symplectic forms on the bundle type.
-
-    Over positive genus every positive ratio occurs (semistable complex
-    structures push the Kahler ratio to 0); over genus 0 the infimum is
-    the topological type, realized by Kahler cones of balanced-as-possible
-    splittings and not beaten by any almost standard form.
-    """
-    if ctx.genus.g > 0:
-        return Fraction(0)
-    return Fraction(topological_type(ctx))
-
-
-def multisection_degree_bound(b: BundleSpec, m: int) -> int:
-    """Lower bound m*a_1 for <hyperplane, [Z]> over all m-sections Z."""
-    if isinstance(b, SemiStable):
-        raise ValueError("multisection bound needs explicit summand degrees")
-    if m < 1:
-        raise ValueError(f"multisection degree must be >= 1, got {m}")
-    return m * min(b.degrees)
-
-
 def matching_bundle(alpha: int, n: int, genus: SurfaceGenus) -> BundleSpec:
     """Model bundle V of rank n and degree alpha minimizing the restricted ratio.
 
@@ -270,23 +240,30 @@ def matching_bundle(alpha: int, n: int, genus: SurfaceGenus) -> BundleSpec:
 def admissibility_bound(alpha: int, n: int, genus: SurfaceGenus) -> int:
     """Strict lower bound a divisor's ratio must exceed to be admissible:
     alpha over positive genus, max(alpha, alpha mod n) over genus 0."""
+    if n < 1:
+        raise ValueError(f"rank must be positive, got {n}")
     if genus.g > 0:
         return alpha
     return max(alpha, topological_residue(alpha, n))
 
 
+def _ratio_infimum(alpha: int, n: int, genus: SurfaceGenus) -> int:
+    """The restricted-ratio infimum, never attained."""
+    return max(0, admissibility_bound(alpha, n, genus))
+
+
 @dataclass(frozen=True)
 class RestrictedRatioResult:
-    """Infimum of restriction ratios over ambient Kahler classes on P(V + O)."""
+    """Infimum of restriction ratios over ambient Kahler classes on P(V + O);
+    the infimum is never attained."""
 
     value: Fraction
     achieving_bundle: BundleSpec
-    attained: bool = False
 
 
 def restricted_ratio(alpha: int, n: int, genus: SurfaceGenus) -> RestrictedRatioResult:
     """Least ratio on the divisor P(V), deg V = alpha, forced by an ambient
-    Kahler class on P(V + O).
+    Kahler class on P(V + O), with the matching bundle V that realizes it.
 
     Over positive genus the answer is max(0, alpha): for alpha < 0 a
     semistable V puts the whole forward half-plane y/x > -alpha/n in the
@@ -295,8 +272,8 @@ def restricted_ratio(alpha: int, n: int, genus: SurfaceGenus) -> RestrictedRatio
     genus 0 the answer is max(t, alpha) with t = alpha mod n, coming from
     the balanced-as-possible splitting.  The infimum is never attained.
     """
-    bundle = matching_bundle(alpha, n, genus)  # refuses n < 1 before any division
-    return RestrictedRatioResult(Fraction(max(0, admissibility_bound(alpha, n, genus))), bundle)
+    value = _ratio_infimum(alpha, n, genus)
+    return RestrictedRatioResult(Fraction(value), matching_bundle(alpha, n, genus))
 
 
 def restrict_to_divisor(u: DivisorClass) -> DivisorClass:
@@ -314,25 +291,22 @@ def restrict_to_divisor(u: DivisorClass) -> DivisorClass:
 
 def kahler_class_for_ratio(alpha: int, n: int, genus: SurfaceGenus,
                            rho0: Fraction | int) -> DivisorClass:
-    """A Kahler class on P(V + O) whose restriction to P(V) has ratio rho0.
+    """A Kahler class on P(V + O) whose restriction to P(V) has ratio rho0,
+    for V the matching bundle of degree alpha and rank n.
 
-    V is the matching model bundle of degree alpha.  Solving
+    Only the class is built here: the caller builds V and its ambient
+    bundle (build_matching_triple does, once each).  Solving
     alpha + n*(y/x) = rho0 with x = n * denominator(rho0) gives integer
-    coordinates; the class is Kahler exactly when rho0 exceeds the
-    restricted-ratio infimum, and the failure below certifies that the
-    infimum is strict.
+    coordinates.  The class is Kahler exactly when rho0 exceeds the
+    restricted-ratio infimum; at or below it NoSuchClassError is raised,
+    since the infimum is not attained.  n < 1 is a ValueError.
     """
     rho0 = Fraction(rho0)
-    result = restricted_ratio(alpha, n, genus)
-    if rho0 <= result.value:
+    infimum = _ratio_infimum(alpha, n, genus)
+    if rho0 <= infimum:
         raise NoSuchClassError(
             f"no Kahler class restricts to ratio {rho0}: the infimum over "
-            f"P(V + O) is {result.value} and is not attained"
+            f"P(V + O) is {infimum} and is not attained"
         )
-    den = rho0.denominator
-    u = DivisorClass(n * den, (rho0 - alpha).numerator,
-                     BundleContext(n + 1, alpha, Convention.QUOTIENT, genus))
-    ambient = plus_trivial_line(result.achieving_bundle)
-    if not kahler_membership(u, ambient):
-        raise AssertionError("constructed class left the Kahler cone")
-    return u
+    return DivisorClass(n * rho0.denominator, (rho0 - alpha).numerator,
+                        BundleContext(n + 1, alpha, Convention.QUOTIENT, genus))

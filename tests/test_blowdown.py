@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pbcones.blowdown import (
     ExceptionalDivisorData,
@@ -9,7 +11,6 @@ from pbcones.blowdown import (
     Ruling,
     VerdictKind,
     admissibility_bound,
-    alpha_from_blowup_normal,
     blowdown_verdict_dim6,
     build_matching_triple,
     is_admissible,
@@ -23,7 +24,7 @@ from pbcones.cohomology import (
     DivisorClass,
     forward_ratio,
 )
-from pbcones.cones import restrict_to_divisor
+from pbcones.cones import plus_trivial_line, restrict_to_divisor
 
 Q = Fraction
 
@@ -31,16 +32,6 @@ Q = Fraction
 def divisor(genus, alpha, xy, n=2, areas=None):
     return ExceptionalDivisorData.over_surface(genus, alpha, xy, fiber_rank=n,
                                                ruled_areas=areas)
-
-
-# ------------------------------------------------------------- alpha
-
-
-def test_alpha_from_blowup_normal():
-    assert alpha_from_blowup_normal(1) == -1
-    assert alpha_from_blowup_normal(0) == 0
-    for a in range(-5, 6):
-        assert alpha_from_blowup_normal(alpha_from_blowup_normal(a)) == a
 
 
 # ------------------------------------------------------- data checks
@@ -62,7 +53,6 @@ def test_divisor_data_validation():
     # consistent: areas (1,2) give ratio 4 = 2 + 2*(y/x) with class (1,1)
     d = divisor(0, 2, (1, 1), areas=(1, 2))
     assert forward_ratio(d.omega_class) == 4
-    assert d.normal_fiber_degree == -1
     # the class must be in the sub convention; a point carries no areas
     quotient = DivisorClass(1, 1, BundleContext(2, 1, Convention.QUOTIENT))
     with pytest.raises(ValueError, match="sub convention"):
@@ -131,7 +121,7 @@ def test_blowup_divisors_satisfy_the_ratio_bound_iff_admissible():
     # alpha = -k; the ratio bound and the admissibility test are the same
     # computation
     for k in range(-4, 5):
-        alpha = alpha_from_blowup_normal(k)
+        alpha = -k
         for num in range(1, 12):
             rho = Q(num, 3)
             y = (rho - alpha) / 2
@@ -171,11 +161,6 @@ def test_certificate_fields():
     cert = build_matching_triple(divisor(0, 3, (1, Q(5, 2)), n=3))
     assert rank(cert.model_bundle) == 3
     assert degree(cert.model_bundle) == 3
-    assert cert.triple_description() == {
-        "total_space": "P(V + O)",
-        "divisor": "P(V)",
-        "section": "P(O)",
-    }
     assert any("deformation" in note for note in cert.notes)
     # fiber rank 3 is not the six-dimensional case
     assert not any("fiber dimension one" in note for note in cert.notes)
@@ -207,6 +192,26 @@ def test_validate_certificate_accepts_and_rejects():
                         restricted_ratio=Q(3))
     res = validate_certificate(off_ratio, d)
     assert not res and any("restricted ratio mismatch" in f for f in res.failures)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3), st.integers(1, 6), st.integers(-30, 30),
+       st.builds(Fraction, st.integers(1, 60), st.integers(1, 12)))
+@example(0, 2, 2, Q(1, 3))  # the sphere product
+@example(0, 1, -30, Q(1))
+@example(3, 6, 30, Q(5, 7))
+def test_certificate_property(g, n, alpha, excess):
+    # any ratio above the infimum gets a certificate that the independent
+    # check accepts, built on the model bundle plus a trivial line
+    rho = max(admissibility_bound(alpha, n, SurfaceGenus(g)), 0) + excess
+    if (g, n, alpha) == (0, 2, 2):
+        d = ExceptionalDivisorData.from_ruled_areas(1, rho / 2)
+    else:
+        d = divisor(g, alpha, (1, (rho - alpha) / n), n=n)
+    assert d.rho == rho
+    cert = build_matching_triple(d)
+    assert validate_certificate(cert, d)
+    assert cert.ambient_bundle == plus_trivial_line(cert.model_bundle)
 
 
 # ------------------------------------------------------------ verdict

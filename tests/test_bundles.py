@@ -13,7 +13,6 @@ from pbcones.bundles import (
     degree,
     dual,
     is_semistable,
-    quotient_line_degree_bounds,
     rank,
     semi_stable,
     semistable_exists,
@@ -114,14 +113,8 @@ def test_is_semistable_examples():
 @given(degree_lists)
 def test_semistable_iff_degree_bounds_collapse(degs):
     b = decomposable(*degs)
-    lo, hi = quotient_line_degree_bounds(b)
+    lo, hi = min(b.degrees), max(b.degrees)
     assert is_semistable(b) == (lo == hi == slope(b))
-
-
-def test_quotient_line_degree_bounds_examples():
-    assert quotient_line_degree_bounds(decomposable(0, 2)) == (0, 2)
-    assert quotient_line_degree_bounds(decomposable(-2, -1)) == (-2, -1)
-    assert quotient_line_degree_bounds(decomposable(7)) == (7, 7)
 
 
 def test_semistable_exists():

@@ -144,6 +144,23 @@ def test_blowdown_human_output(capsys):
     assert '"chosen_ruling": "first"' in out
 
 
+def test_blowdown_convention_notice(capsys):
+    # --convention has no effect: stdout and exit code match the run
+    # without it, and stderr carries one notice line
+    for argv, code in (("blowdown --genus 0 --alpha -1 --class 1,3/2 --json", 0),
+                       ("blowdown --genus 1 --alpha 3 --class 1,-1/4", 1),
+                       ("blowdown --base point", 0)):
+        assert main(argv.split()) == code
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        for convention in ("sub", "quotient"):
+            assert main(argv.split() + ["--convention", convention]) == code
+            given = capsys.readouterr()
+            assert given.out == plain.out
+            assert given.err.startswith("notice: ") and given.err.count("\n") == 1
+            assert "no effect" in given.err
+
+
 def test_cone_semistable_human(capsys):
     main("cone --semistable 2,-3 --genus 1".split())
     out = capsys.readouterr().out
@@ -170,6 +187,14 @@ USAGE_ERRORS = [
     "blowdown --genus 0 --alpha -1 --class 0,1",
     "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 3",
     "blowdown --genus 0 --alpha 2 --ruled-areas 1/0,1",
+    # a point-base divisor takes no surface data
+    "blowdown --base point --genus 0 --alpha 3 --class 1,2 --json",
+    "blowdown --base point --genus 1",
+    "blowdown --base point --alpha -1",
+    "blowdown --base point --class 1,3/2",
+    "blowdown --base point --ruled-areas 1,2",
+    "blowdown --base point --fiber-rank 7",
+    "blowdown --base point --fiber-rank 2",
     "check sympow --max-rank 9",
     "check ring --samples -5",
     "check sympow --max-rank 0",

@@ -27,16 +27,14 @@ from pbcones.cones import (
     Exactness,
     NoSuchClassError,
     SemistablePlusLine,
+    admissibility_bound,
     balanced_form,
     bundle_context,
-    curve_cone_decomposable,
     kahler_class_for_ratio,
     kahler_cone,
     kahler_cone_ratio,
     kahler_membership,
     matching_bundle,
-    min_symplectic_ratio,
-    multisection_degree_bound,
     plus_trivial_line,
     restrict_to_divisor,
     restricted_ratio,
@@ -56,14 +54,14 @@ def cls(b, x, y):
 
 
 def test_curve_cone_examples():
-    cone = curve_cone_decomposable(decomposable(0, 2))
+    cone = kahler_cone(decomposable(0, 2))
     assert [(r.l, r.eta) for r in cone.rays] == [(1, 0), (0, 1)]
     assert cone.exactness is Exactness.EXACT
 
-    cone = curve_cone_decomposable(decomposable(-2, -1))
+    cone = kahler_cone(decomposable(-2, -1))
     assert [(r.l, r.eta) for r in cone.rays] == [(1, 0), (-2, 1)]
 
-    cone = curve_cone_decomposable(decomposable(3, 3))
+    cone = kahler_cone(decomposable(3, 3))
     assert [(r.l, r.eta) for r in cone.rays] == [(1, 0), (3, 1)]
     assert cone.boundary_slope == 3
     # all degrees equal: the Kahler cone degenerates to the forward cone
@@ -71,14 +69,14 @@ def test_curve_cone_examples():
 
 
 def test_curve_cone_semistable():
-    cone = curve_cone_decomposable(semi_stable(2, -3, genus=1))
+    cone = kahler_cone(semi_stable(2, -3, genus=1))
     assert [(r.l, r.eta) for r in cone.rays] == [(1, 0)]
     assert cone.exactness is Exactness.EXACT
     assert "forward cone" in cone.note
     assert cone.boundary_slope == Q(-3, 2)
 
     # genus-0 semistable bundles are balanced splittings
-    cone0 = curve_cone_decomposable(semi_stable(2, 4, genus=0))
+    cone0 = kahler_cone(semi_stable(2, 4, genus=0))
     assert [(r.l, r.eta) for r in cone0.rays] == [(1, 0), (2, 1)]
 
 
@@ -187,7 +185,7 @@ def test_genus0_semistable_equals_balanced_decomposable():
                 continue
             s = semi_stable(r, d, genus=0)
             b = balanced_form(s)
-            cs, cb = curve_cone_decomposable(s), curve_cone_decomposable(b)
+            cs, cb = kahler_cone(s), kahler_cone(b)
             assert cs.rays == cb.rays, (r, d)
             assert cs.boundary_slope == cb.boundary_slope == Q(d, r)
             assert cs.exactness is cb.exactness is Exactness.EXACT
@@ -196,23 +194,6 @@ def test_genus0_semistable_equals_balanced_decomposable():
                 for y in range(-12, 13):
                     u = cls(s, x, y)
                     assert kahler_membership(u, s) == kahler_membership(cls(b, x, y), b)
-
-
-def test_min_symplectic_ratio_examples():
-    assert min_symplectic_ratio(BundleContext(2, 5, Convention.QUOTIENT, G2)) == 0
-    assert min_symplectic_ratio(BundleContext(2, -1, Convention.SUB, G0)) == 1
-    assert min_symplectic_ratio(BundleContext(3, -6, Convention.QUOTIENT, G0)) == 0
-
-
-def test_multisection_degree_bound_examples():
-    assert multisection_degree_bound(decomposable(0, 2), 3) == 0
-    assert multisection_degree_bound(decomposable(-2, -1), 2) == -4
-    assert multisection_degree_bound(decomposable(-7, 1), 1) == -7
-    # the bound is attained by the m-th power of the minimal summand
-    for degs in [(0, 2), (-2, -1), (-1, 1, 3)]:
-        for m in (1, 2, 3, 4):
-            assert min(sym_power(decomposable(*degs), m).degrees) == \
-                multisection_degree_bound(decomposable(*degs), m)
 
 
 # -------------------------------------------------- restricted ratio
@@ -229,7 +210,6 @@ def test_matching_bundle_examples():
 def test_restricted_ratio_examples():
     r = restricted_ratio(-3, 2, G0)
     assert r.value == 1 and r.achieving_bundle == decomposable(-2, -1)
-    assert not r.attained
     r = restricted_ratio(-3, 2, G1)
     assert r.value == 0 and r.achieving_bundle == semi_stable(2, -3, genus=1)
     r = restricted_ratio(5, 2, G0)
@@ -276,6 +256,19 @@ def test_kahler_class_for_ratio_fractional():
     assert forward_ratio(restrict_to_divisor(u)) == Q(7, 5)
     v = matching_bundle(-3, 3, G0)
     assert kahler_membership(u, plus_trivial_line(v))
+
+
+def test_rank_below_one_is_refused():
+    # refused before any division by n, and without building a bundle:
+    # positive genus would otherwise give a bound, and a class with x = 0
+    for g in (G0, G1):
+        for alpha in (-3, 0, 2):
+            for n in (0, -2):
+                for call in (lambda: kahler_class_for_ratio(alpha, n, g, 1),
+                             lambda: restricted_ratio(alpha, n, g),
+                             lambda: admissibility_bound(alpha, n, g)):
+                    with pytest.raises(ValueError, match="rank must be positive"):
+                        call()
 
 
 def test_restrict_to_divisor_preserves_coordinates():
