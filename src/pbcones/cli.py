@@ -54,13 +54,6 @@ from .cones import (
     kahler_cone_ratio,
     kahler_membership,
 )
-from .oracle import (
-    DEFAULT_SEED,
-    GridSpec,
-    cone_sweep,
-    ring_sweep,
-    sympow_sweep,
-)
 
 __all__ = ["main", "console_main"]
 
@@ -312,6 +305,10 @@ def cmd_blowdown(args) -> CommandResult:
 
 
 def cmd_check(args) -> CommandResult:
+    # Only check needs the oracle (and its hashlib and random); importing it
+    # here keeps it out of every other command's start-up.
+    from . import oracle
+
     # A bound below its minimum would leave a sweep with nothing to check.
     for flag, value, least in (("--samples", args.samples, 1), ("--max-rank", args.max_rank, 1),
                                ("--max-m", args.max_m, 1), ("--max-degree", args.max_degree, 0)):
@@ -322,14 +319,16 @@ def cmd_check(args) -> CommandResult:
                                            ("max_abs_degree", args.max_degree))
              if value is not None}
     if args.target == "ring":
-        report = ring_sweep(seed=args.seed, samples=args.samples, **sizes)
+        seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
+        report = oracle.ring_sweep(seed=seed, samples=args.samples, **sizes)
     elif args.target == "sympow":
         if args.max_m is not None:
             sizes["max_m"] = args.max_m
-        report = sympow_sweep(**sizes)
+        report = oracle.sympow_sweep(**sizes)
     else:
-        grid = GridSpec() if args.max_m is None else GridSpec(max_multisection=args.max_m)
-        report = cone_sweep(grid=grid, **sizes)
+        grid = (oracle.GridSpec() if args.max_m is None
+                else oracle.GridSpec(max_multisection=args.max_m))
+        report = oracle.cone_sweep(grid=grid, **sizes)
     payload = {
         "target": args.target,
         "all_passed": report.all_passed,
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", parents=[common], help="run brute-force oracle sweeps")
     check.add_argument("target", choices=["ring", "sympow", "cone"])
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    check.add_argument("--seed", type=int, default=None)
     check.add_argument("--max-rank", type=int, default=None)
     check.add_argument("--max-m", type=int, default=None)
     check.add_argument("--max-degree", type=int, default=None)

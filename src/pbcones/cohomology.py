@@ -48,8 +48,6 @@ __all__ = [
     "eta_class",
 ]
 
-Rational = Fraction | int
-
 
 class ContextMismatchError(ValueError):
     """Raised when classes from different bundle contexts are combined."""
@@ -85,10 +83,6 @@ class BundleContext:
         return "xi" if self.convention is Convention.QUOTIENT else "tau"
 
 
-def _as_fraction(v: Rational) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 @dataclass(frozen=True)
 class DivisorClass:
     """x * (hyperplane class) + y * (fiber class) with exact coefficients."""
@@ -98,8 +92,10 @@ class DivisorClass:
     ctx: BundleContext
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "y", _as_fraction(self.y))
+        if not isinstance(self.x, Fraction):
+            object.__setattr__(self, "x", Fraction(self.x))
+        if not isinstance(self.y, Fraction):
+            object.__setattr__(self, "y", Fraction(self.y))
 
     def __str__(self) -> str:
         return f"{self.x}*{self.ctx.hyperplane_symbol} + {self.y}*F"
@@ -130,10 +126,17 @@ def _check_ctx(a: BundleContext, b: BundleContext) -> None:
 
 
 def top_power(u: DivisorClass) -> Fraction:
-    """u^n integrated over the bundle, by the closed formula x^{n-1}(e*x + n*y)."""
+    """u^n integrated over the bundle, by the closed formula x^{n-1}(e*x + n*y).
+
+    e*x + n*y is built from the numerators and denominators as one
+    fraction; x^{n-1} stays a separate factor, so that no gcd is ever
+    taken of two integers that are both as large as x^{n-1}.
+    """
     n = u.ctx.rank
     e = u.ctx.top_coefficient
-    return u.x ** (n - 1) * (e * u.x + n * u.y)
+    x, y = u.x, u.y
+    b, d = x.denominator, y.denominator
+    return x ** (n - 1) * Fraction(e * x.numerator * d + n * y.numerator * b, b * d)
 
 
 def pair(u: DivisorClass, z: CurveClass) -> Fraction:

@@ -90,9 +90,11 @@ def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
     """(x*h + y*F)^k integrated, by binomial expansion and monomial rewriting.
 
     Works in integer arithmetic over the common denominator of x and y,
-    independently of the closed formula in top_power: hyperplane powers
-    h^a with a >= n are rewritten first (h^n -> e*h^{n-1}*F, one step at a
-    time), and only then are monomials with F^2 discarded.
+    independently of the closed formula in top_power.  Each of the k+1
+    binomial terms c * h^a F^b is taken in one pass: a hyperplane power
+    h^a with a >= n is rewritten first (h^n -> e*h^{n-1}*F, one step at a
+    time), then a term with F^2 is discarded, and what is left integrates
+    to its coefficient if it is the point class h^{n-1}F and to 0 if not.
     """
     n = u.ctx.rank
     if k > n:
@@ -100,36 +102,18 @@ def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
     e = u.ctx.top_coefficient
     qx, qy = u.x.denominator, u.y.denominator
     ax, ay = u.x.numerator * qy, u.y.numerator * qx
-    den = qx * qy
 
-    xs = [1] * (k + 1)
-    ys = [1] * (k + 1)
-    for i in range(1, k + 1):
-        xs[i] = xs[i - 1] * ax
-        ys[i] = ys[i - 1] * ay
-    raw: dict[tuple[int, int], int] = {}
-    for j in range(k + 1):
-        raw[(k - j, j)] = math.comb(k, j) * xs[k - j] * ys[j]
-
-    # Rewrite hyperplane powers down below n.
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), c in list(raw.items()):
-            if a >= n and c:
-                del raw[(a, b)]
-                key = (a - 1, b + 1)
-                raw[key] = raw.get(key, 0) + c * e
-                changed = True
-
-    # Discard anything with a repeated fiber factor, then integrate.
     total = 0
-    for (a, b), c in raw.items():
-        if b >= 2:
+    for j in range(k + 1):
+        a, b = k - j, j
+        c = math.comb(k, j) * ax ** a * ay ** b
+        while a >= n:  # h^n -> e * h^{n-1} F
+            a, b, c = a - 1, b + 1, c * e
+        if b >= 2:  # F^2 = 0
             continue
-        if (a, b) == (n - 1, 1):
+        if a == n - 1 and b == 1:  # the point class
             total += c
-    return Fraction(total, den ** k)
+    return Fraction(total, (qx * qy) ** k)
 
 
 def enumerate_sym_quotients(b: Decomposable, m: int) -> list[int]:
@@ -218,8 +202,23 @@ def sample_cone_check(b: Decomposable, grid: GridSpec = GridSpec()) -> CheckRepo
     return report
 
 
+# Every value Fraction(p, q) of a sample, p in -9..9 and q in 1..9, at
+# index 9*(p + 9) + (q - 1).
+_SAMPLE_FRACTIONS = tuple(Fraction(p, q) for p in range(-9, 10) for q in range(1, 10))
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), from the same bits:
+    randint(a, b) draws a + r with r = getrandbits(k) for the bit length k
+    of b - a + 1, redrawn until r <= b - a."""
+    bits = rng.getrandbits
+    p = bits(5)
+    while p >= 19:
+        p = bits(5)
+    q = bits(4)
+    while q >= 9:
+        q = bits(4)
+    return _SAMPLE_FRACTIONS[9 * p + q]
 
 
 def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int = 10,

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pbcones
+from pbcones import oracle
 from pbcones.cli import main
 
 # Byte-for-byte golden outputs for the documented invocations (JSON mode).
@@ -230,6 +236,27 @@ def test_check_commands(capsys):
 
     assert main("check cone --max-rank 2 --max-degree 2".split()) == 0
     capsys.readouterr()
+
+
+def test_check_seed_defaults_to_the_oracle_seed(capsys):
+    sizes = "--max-rank 2 --max-degree 1 --samples 3 --json".split()
+    assert main(["check", "ring", *sizes]) == 0
+    default = capsys.readouterr().out
+    assert main(["check", "ring", "--seed", str(oracle.DEFAULT_SEED), *sizes]) == 0
+    assert capsys.readouterr().out == default
+    assert f"seed={oracle.DEFAULT_SEED} " in default
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # Only check runs the oracle, so no other command pays for importing it.
+    # -S keeps site-packages start-up hooks from loading hashlib themselves.
+    src = str(Path(pbcones.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, pbcones.cli; "
+            "print(sorted({'pbcones.oracle', 'hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n", done.stdout
 
 
 def test_spec_file_mode(tmp_path, capsys):
