@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import ClassVar
 
 from .bundles import BundleSpec, SurfaceGenus, degree, rank
 from .cohomology import (
@@ -57,7 +58,6 @@ __all__ = [
     "Ruling",
     "CertificateValidation",
     "NotAdmissibleError",
-    "admissibility_bound",
     "is_admissible",
     "build_matching_triple",
     "blowdown_verdict_dim6",
@@ -181,32 +181,30 @@ class MatchingTripleCertificate:
     ambient manifold are opposite).  kahler_class is circle-invariant for
     the rotation fixing P(V) and P(O), and restricts to P(V) with the same
     ratio as the divisor's symplectic class.  The match is class-level
-    (weak); in complex fiber dimension one that already suffices.
+    (weak); in complex fiber dimension one that already suffices.  The
+    certificate blows down up to an integral deformation of the symplectic
+    form; whether the deformation step can be dropped is an open question.
     """
 
     model_bundle: BundleSpec
-    ambient_bundle: AmbientBundle
     kahler_class: DivisorClass
     restricted_ratio: Fraction
     s1_invariant: bool = True
-    weak: bool = True
-    notes: tuple[str, ...] = ()
+    weak: ClassVar[bool] = True
 
-
-_DEFORMATION_NOTE = ("certifies blowing down up to an integral deformation of the "
-                     "symplectic form; whether the deformation step can be dropped "
-                     "is an open question")
-_DIM6_NOTE = ("fiber dimension one: a class-level (weak) match already yields a "
-              "genuine matching triple")
+    @property
+    def ambient_bundle(self) -> AmbientBundle:
+        """V + O, whose projectivization carries kahler_class."""
+        return plus_trivial_line(self.model_bundle)
 
 
 def build_matching_triple(d: ExceptionalDivisorData) -> MatchingTripleCertificate:
     """Construct the certificate for an admissible divisor.
 
     The triple is built here, once: the model bundle V of degree alpha and
-    rank n (matching_bundle), its ambient bundle V + O (plus_trivial_line),
-    and the canonical integral Kahler class restricting to the divisor's
-    exact ratio (kahler_class_for_ratio, which builds no bundle).
+    rank n (matching_bundle), which determines the ambient bundle V + O, and
+    the canonical integral Kahler class restricting to the divisor's exact
+    ratio (kahler_class_for_ratio, which builds no bundle).
     validate_certificate checks the result independently.  Raises
     NotAdmissibleError when the ratio bound fails, and is_admissible's
     ValueError for a point-base divisor.
@@ -216,17 +214,10 @@ def build_matching_triple(d: ExceptionalDivisorData) -> MatchingTripleCertificat
         raise NotAdmissibleError(
             f"ratio {d.rho} does not exceed the admissibility bound {bound}"
         )
-    v = matching_bundle(d.alpha, d.fiber_rank, d.base_genus)
-    u = kahler_class_for_ratio(d.alpha, d.fiber_rank, d.base_genus, d.rho)
-    notes = [_DEFORMATION_NOTE]
-    if d.fiber_rank == 2:
-        notes.append(_DIM6_NOTE)
     return MatchingTripleCertificate(
-        model_bundle=v,
-        ambient_bundle=plus_trivial_line(v),
-        kahler_class=u,
+        model_bundle=matching_bundle(d.alpha, d.fiber_rank, d.base_genus),
+        kahler_class=kahler_class_for_ratio(d.alpha, d.fiber_rank, d.base_genus, d.rho),
         restricted_ratio=d.rho,
-        notes=tuple(notes),
     )
 
 
@@ -303,8 +294,11 @@ def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
 
 @dataclass(frozen=True)
 class CertificateValidation:
-    ok: bool
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def __bool__(self) -> bool:
         return self.ok
@@ -314,16 +308,16 @@ def validate_certificate(c: MatchingTripleCertificate,
                          d: ExceptionalDivisorData) -> CertificateValidation:
     """Re-check every certificate condition against the divisor data.
 
-    Checks: the model bundle has degree alpha and rank n, the ambient
-    bundle is the model plus a trivial line, the Kahler class lies in the
-    (known) Kahler cone of the ambient bundle, its restriction to the
-    divisor reproduces the symplectic class ratio exactly, and the
+    Checks: the model bundle has degree alpha and rank n, the Kahler class
+    lies in the (known) Kahler cone of the ambient bundle V + O, its
+    restriction to the divisor reproduces the symplectic class ratio
+    exactly and matches the certificate's ratio field, and the
     circle-invariance flag is set.  Returns all failures, not just the
     first.
     """
     failures: list[str] = []
     if d.is_point_base:
-        return CertificateValidation(False, ("point-base divisors carry no matching triple",))
+        return CertificateValidation(("point-base divisors carry no matching triple",))
 
     if degree(c.model_bundle) != d.alpha:
         failures.append(
@@ -335,8 +329,6 @@ def validate_certificate(c: MatchingTripleCertificate,
             f"rank mismatch: model bundle rank {rank(c.model_bundle)}"
             f" != fiber rank {d.fiber_rank}"
         )
-    if c.ambient_bundle != plus_trivial_line(c.model_bundle):
-        failures.append("ambient bundle is not the model bundle plus a trivial line")
 
     try:
         if not kahler_membership(c.kahler_class, c.ambient_bundle):
@@ -363,4 +355,4 @@ def validate_certificate(c: MatchingTripleCertificate,
     if not c.s1_invariant:
         failures.append("circle-invariance flag is not set")
 
-    return CertificateValidation(not failures, tuple(failures))
+    return CertificateValidation(tuple(failures))

@@ -23,7 +23,6 @@ __all__ = [
     "Decomposable",
     "SemiStable",
     "BundleSpec",
-    "SlopeValue",
     "decomposable",
     "semi_stable",
     "rank",
@@ -37,10 +36,9 @@ __all__ = [
     "semistable_exists",
 ]
 
-SlopeValue = Fraction
-
-# Largest symmetric power sym_power will enumerate, in summands.  The
-# oracle sweeps reach about 1.3e3; rank 20 with m = 20 would be 6.9e10.
+# Most work sym_power will do, in summands times m: each summand is the
+# sum of an m-tuple.  The oracle sweeps reach 84 x 6.  Refusals leave the
+# summand count unprinted: at rank 10^4 and m = 10^4 it has 6000 digits.
 _MAX_SYM_SUMMANDS = 10**6
 
 
@@ -111,7 +109,7 @@ def degree(b: BundleSpec) -> int:
     return b.degree
 
 
-def slope(b: BundleSpec) -> SlopeValue:
+def slope(b: BundleSpec) -> Fraction:
     """Degree divided by rank, as an exact fraction."""
     return Fraction(degree(b), rank(b))
 
@@ -148,9 +146,9 @@ def sym_power(b: BundleSpec, m: int) -> Decomposable:
     """
     b = _require_decomposable(b, "sym_power")
     summands = sym_rank_degree(rank(b), degree(b), m)[0]
-    if summands > _MAX_SYM_SUMMANDS:
-        raise ValueError(f"symmetric power too large: {summands} summands, "
-                         f"the limit is {_MAX_SYM_SUMMANDS}")
+    if summands * m > _MAX_SYM_SUMMANDS:
+        raise ValueError(f"symmetric power too large: power {m} of rank {rank(b)} sums "
+                         f"more than {_MAX_SYM_SUMMANDS} terms")
     out = []
     for combo in combinations_with_replacement(b.degrees, m):
         out.append(sum(combo))

@@ -305,22 +305,23 @@ def cmd_blowdown(args) -> CommandResult:
 
 
 def cmd_check(args) -> CommandResult:
+    ignored = ((("--max-m", args.max_m),) if args.target == "ring"
+               else (("--seed", args.seed), ("--samples", args.samples)))
+    given = [flag for flag, value in ignored if value is not None]
+    if given:
+        raise UsageError(f"check {args.target} takes no {', '.join(given)}")
     # Only check needs the oracle (and its hashlib and random); importing it
     # here keeps it out of every other command's start-up.
     from . import oracle
 
-    # A bound below its minimum would leave a sweep with nothing to check.
-    for flag, value, least in (("--samples", args.samples, 1), ("--max-rank", args.max_rank, 1),
-                               ("--max-m", args.max_m, 1), ("--max-degree", args.max_degree, 0)):
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
     # Flags left out fall back to the sweep's own defaults.
     sizes = {key: value for key, value in (("max_rank", args.max_rank),
                                            ("max_abs_degree", args.max_degree))
              if value is not None}
     if args.target == "ring":
         seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
-        report = oracle.ring_sweep(seed=seed, samples=args.samples, **sizes)
+        samples = 50 if args.samples is None else args.samples
+        report = oracle.ring_sweep(seed=seed, samples=samples, **sizes)
     elif args.target == "sympow":
         if args.max_m is not None:
             sizes["max_m"] = args.max_m
@@ -405,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", parents=[common], help="run brute-force oracle sweeps")
     check.add_argument("target", choices=["ring", "sympow", "cone"])
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=int, default=None, help="ring only")
     check.add_argument("--max-rank", type=int, default=None)
-    check.add_argument("--max-m", type=int, default=None)
+    check.add_argument("--max-m", type=int, default=None, help="sympow and cone only")
     check.add_argument("--max-degree", type=int, default=None)
-    check.add_argument("--samples", type=int, default=50)
+    check.add_argument("--samples", type=int, default=None, help="ring only, default 50")
     check.set_defaults(func=cmd_check)
 
     return parser

@@ -82,21 +82,18 @@ class ConeDescription:
     rays: tuple[CurveClass, ...]
     exactness: Exactness
     boundary_slope: Fraction
-    note: str = ""
 
 
 @dataclass(frozen=True)
 class SemistablePlusLine:
-    """The direct sum of an opaque semistable bundle and one line bundle.
+    """V + O for an opaque semistable bundle V and the trivial line bundle O.
 
-    Needed for the total space of the model triple P(V + O) when V is
-    semistable: the sum is in general neither a sum of lines nor semistable,
-    but its Kahler cone has a known sufficient half-plane as long as the
-    line slope is at least the slope of V.
+    The total space of the model triple P(V + O) when V is semistable: the
+    sum is in general neither a sum of lines nor semistable, but its Kahler
+    cone has a known sufficient half-plane as long as slope(V) <= 0.
     """
 
     semistable: SemiStable
-    line_degree: int
 
     @property
     def base(self) -> SurfaceGenus:
@@ -108,15 +105,14 @@ class SemistablePlusLine:
 
     @property
     def degree(self) -> int:
-        return self.semistable.degree + self.line_degree
+        return self.semistable.degree
 
 
 AmbientBundle = Union[Decomposable, SemistablePlusLine]
 
 
-def bundle_context(b: BundleSpec | SemistablePlusLine,
-                   convention: Convention = Convention.QUOTIENT) -> BundleContext:
-    return BundleContext(rank(b), degree(b), convention, b.base)
+def bundle_context(b: BundleSpec | SemistablePlusLine) -> BundleContext:
+    return BundleContext(rank(b), degree(b), Convention.QUOTIENT, b.base)
 
 
 def balanced_form(b: SemiStable) -> Decomposable:
@@ -133,7 +129,7 @@ def plus_trivial_line(b: BundleSpec) -> AmbientBundle:
         return Decomposable(b.degrees + (0,), b.base)
     if b.base.g == 0:
         return Decomposable(balanced_form(b).degrees + (0,), b.base)
-    return SemistablePlusLine(b, 0)
+    return SemistablePlusLine(b)
 
 
 def _kahler_slope(b: BundleSpec | SemistablePlusLine) -> Fraction:
@@ -141,19 +137,19 @@ def _kahler_slope(b: BundleSpec | SemistablePlusLine) -> Fraction:
 
     Decomposable: the minimal summand degree a_1, the degree of the
     extremal section.  Semistable: the slope, which over genus 0 is the
-    summand degree of the balanced splitting.  Semistable plus a line of
-    slope >= slope(V): every quotient line bundle of every symmetric power
-    has degree at least m * slope(V), so s = slope(V) bounds a half-plane
-    of Kahler classes; the exact boundary is not claimed.
+    summand degree of the balanced splitting.  Semistable V plus O, with
+    slope(V) <= 0: every quotient line bundle of every symmetric power has
+    degree at least m * slope(V), so s = slope(V) bounds a half-plane of
+    Kahler classes; the exact boundary is not claimed.
     """
     if isinstance(b, Decomposable):
         return Fraction(min(b.degrees))
     if isinstance(b, SemiStable):
         return slope(b)
     s = slope(b.semistable)
-    if b.line_degree < s:
+    if s > 0:
         raise ValueError(
-            "Kahler cone unknown: the line summand slope is below the "
+            "Kahler cone unknown: the trivial summand's slope is below the "
             "semistable slope"
         )
     return s
@@ -179,11 +175,9 @@ def kahler_cone(b: BundleSpec | SemistablePlusLine) -> ConeDescription:
     """
     s, ctx = _kahler_slope(b), bundle_context(b)
     if isinstance(b, SemistablePlusLine):
-        return ConeDescription((line_class(ctx),), Exactness.SUFFICIENT_ONLY, s,
-                               note="half-plane sufficient for Kahler; exact boundary not claimed")
+        return ConeDescription((line_class(ctx),), Exactness.SUFFICIENT_ONLY, s)
     if isinstance(b, SemiStable) and b.base.g > 0:
-        return ConeDescription((line_class(ctx),), Exactness.EXACT, s,
-                               note="Kahler cone equals the forward cone")
+        return ConeDescription((line_class(ctx),), Exactness.EXACT, s)
     return ConeDescription((line_class(ctx), CurveClass(int(s), 1, ctx)), Exactness.EXACT, s)
 
 

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import ClassVar
 
 from .bundles import Decomposable, SurfaceGenus, sym_power, sym_rank_degree
 from .cohomology import BundleContext, Convention, DivisorClass, top_power
@@ -151,10 +152,10 @@ class GridSpec:
     boundary violations.
     """
 
-    x_min: int = 1
-    x_max: int = 5
-    y_min: int = -5
-    y_max: int = 5
+    x_min: ClassVar[int] = 1
+    x_max: ClassVar[int] = 5
+    y_min: ClassVar[int] = -5
+    y_max: ClassVar[int] = 5
     max_multisection: int = 5
     strict: bool = True
 
@@ -221,13 +222,26 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return _SAMPLE_FRACTIONS[9 * p + q]
 
 
+def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts: int) -> None:
+    """Refuse sizes that leave a sweep nothing to check, and ranks past the
+    oracle's cap: max_rank from 1 to the cap, max_abs_degree at least 0,
+    and every count (samples, powers) at least 1."""
+    if not 1 <= max_rank <= _MAX_ORACLE_RANK:
+        raise OracleGuardError(f"{sweep} sweep needs max_rank from 1 to {_MAX_ORACLE_RANK}, "
+                               f"got {max_rank}")
+    if max_abs_degree < 0:
+        raise OracleGuardError(f"{sweep} sweep needs max_abs_degree >= 0, got {max_abs_degree}")
+    for name, value in counts.items():
+        if value < 1:
+            raise OracleGuardError(f"{sweep} sweep needs {name} >= 1, got {value}")
+
+
 def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int = 10,
                samples: int = 1000) -> CheckReport:
     """Compare the closed top-power formula with the brute ring oracle on
     random rational classes, for every rank, degree and convention."""
-    if max_rank > _MAX_ORACLE_RANK:
-        raise OracleGuardError(f"ring sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
-    classes = max(max_rank, 0) * max(2 * max_abs_degree + 1, 0) * len(Convention) * max(samples, 0)
+    _guard_least_sizes("ring", max_rank, max_abs_degree, samples=samples)
+    classes = max_rank * (2 * max_abs_degree + 1) * len(Convention) * samples
     if classes > _MAX_RING_CLASSES:
         raise OracleGuardError(f"ring sweep would sample {classes} classes, more than "
                                f"{_MAX_RING_CLASSES}")
@@ -252,14 +266,14 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
 def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_power: int) -> None:
     """Count the degree multisets a sweep walks, and the summand degrees of
     their symmetric powers up to max_power, before walking them."""
-    span = max(2 * max_abs_degree + 1, 0)
+    span = 2 * max_abs_degree + 1
     bundles = {r: math.comb(span + r - 1, r) for r in range(1, max_rank + 1)}
     if sum(bundles.values()) > _MAX_SWEEP_BUNDLES:
         raise OracleGuardError(f"{sweep} sweep over ranks up to {max_rank} and degrees up to "
                                f"{max_abs_degree} in absolute value exceeds "
                                f"{_MAX_SWEEP_BUNDLES} bundles")
     # sum over m = 1..M of C(m + r - 1, r - 1) is C(M + r, r) - 1
-    degrees = sum(count * (math.comb(max(max_power, 0) + r, r) - 1)
+    degrees = sum(count * (math.comb(max_power + r, r) - 1)
                   for r, count in bundles.items())
     if degrees > _MAX_SWEEP_DEGREES:
         raise OracleGuardError(f"{sweep} sweep up to rank {max_rank}, degree {max_abs_degree} "
@@ -270,8 +284,7 @@ def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_power:
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
     minimal-degree bound against raw enumeration."""
-    if max_rank > _MAX_ORACLE_RANK:
-        raise OracleGuardError(f"sympow sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
+    _guard_least_sizes("sympow", max_rank, max_abs_degree, max_m=max_m)
     if max_m > _MAX_ORACLE_POWER:
         raise OracleGuardError(f"sympow sweep capped at power {_MAX_ORACLE_POWER}, got {max_m}")
     _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m)
@@ -307,8 +320,8 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
 def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3,
                grid: GridSpec = GridSpec()) -> CheckReport:
     """Run the cone positivity check over all decomposable bundles in range."""
-    if max_rank > _MAX_ORACLE_RANK:
-        raise OracleGuardError(f"cone sweep capped at rank {_MAX_ORACLE_RANK}, got {max_rank}")
+    _guard_least_sizes("cone", max_rank, max_abs_degree,
+                       max_multisection=grid.max_multisection)
     _guard_sweep_size("cone", max_rank, max_abs_degree, grid.max_multisection)
     report = CheckReport()
     genus0 = SurfaceGenus(0)

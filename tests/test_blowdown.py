@@ -17,7 +17,7 @@ from pbcones.blowdown import (
     refibred_along_second_ruling,
     validate_certificate,
 )
-from pbcones.bundles import SurfaceGenus, decomposable, degree, rank, semi_stable
+from pbcones.bundles import SurfaceGenus, decomposable, degree, rank, semi_stable, twist
 from pbcones.cohomology import (
     BundleContext,
     Convention,
@@ -161,11 +161,6 @@ def test_certificate_fields():
     cert = build_matching_triple(divisor(0, 3, (1, Q(5, 2)), n=3))
     assert rank(cert.model_bundle) == 3
     assert degree(cert.model_bundle) == 3
-    assert any("deformation" in note for note in cert.notes)
-    # fiber rank 3 is not the six-dimensional case
-    assert not any("fiber dimension one" in note for note in cert.notes)
-    cert6 = build_matching_triple(divisor(0, -1, (1, Q(3, 2))))
-    assert any("fiber dimension one" in note for note in cert6.notes)
 
 
 def test_validate_certificate_accepts_and_rejects():
@@ -192,6 +187,13 @@ def test_validate_certificate_accepts_and_rejects():
                         restricted_ratio=Q(3))
     res = validate_certificate(off_ratio, d)
     assert not res and any("restricted ratio mismatch" in f for f in res.failures)
+
+    # a twisted V moves the derived ambient bundle V + O, which the class
+    # no longer lives on
+    twisted = replace(cert, model_bundle=twist(cert.model_bundle, 1))
+    res = validate_certificate(twisted, d)
+    assert not res and any("normal degree mismatch" in f for f in res.failures)
+    assert any("Kahler class rejected" in f for f in res.failures)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

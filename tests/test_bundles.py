@@ -73,6 +73,13 @@ def test_sym_power_rejects_semistable_and_bad_m():
     # C(39, 20) ~ 6.9e10 summands: refused before any enumeration
     with pytest.raises(ValueError, match="too large"):
         sym_power(decomposable(*range(20)), 20)
+    # one summand, but a 10^9-tuple to sum
+    with pytest.raises(ValueError, match="too large"):
+        sym_power(decomposable(0), 10**9)
+    # C(19999, 10000) has about 6000 digits, more than an int prints: the
+    # refusal must still read as one
+    with pytest.raises(ValueError, match="too large"):
+        sym_power(decomposable(*[1] * 10000), 10000)
 
 
 def test_sym_rank_degree_examples():

@@ -213,6 +213,13 @@ USAGE_ERRORS = [
     "check cone --max-rank 6 --max-m 8 --max-degree 7",
     "check ring --max-degree 100000",
     "check ring --samples 100000",
+    # flags the target ignores
+    "check sympow --samples 3",
+    "check cone --seed 1",
+    "check ring --max-m 2",
+    # summands times m past the 10^6 work bound
+    "bundle sympow --degrees 0,1 -m 999999",
+    "bundle sympow --degrees 0 -m 1000000000",
 ]
 
 

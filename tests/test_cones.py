@@ -72,7 +72,6 @@ def test_curve_cone_semistable():
     cone = kahler_cone(semi_stable(2, -3, genus=1))
     assert [(r.l, r.eta) for r in cone.rays] == [(1, 0)]
     assert cone.exactness is Exactness.EXACT
-    assert "forward cone" in cone.note
     assert cone.boundary_slope == Q(-3, 2)
 
     # genus-0 semistable bundles are balanced splittings
@@ -97,14 +96,14 @@ def test_kahler_membership_examples():
 
 
 def test_kahler_membership_mixed_sum():
-    mixed = SemistablePlusLine(semi_stable(2, -3, genus=1), 0)
+    mixed = SemistablePlusLine(semi_stable(2, -3, genus=1))
     cone = kahler_cone(mixed)
     assert cone.exactness is Exactness.SUFFICIENT_ONLY
     u = DivisorClass(1, 2, bundle_context(mixed))
     assert kahler_membership(u, mixed)  # y/x = 2 > 3/2
     assert not kahler_membership(DivisorClass(1, 1, bundle_context(mixed)), mixed)
     with pytest.raises(ValueError, match="unknown"):
-        kahler_cone(SemistablePlusLine(semi_stable(2, 3, genus=1), 0))
+        kahler_cone(SemistablePlusLine(semi_stable(2, 3, genus=1)))
 
 
 def test_kahler_membership_context_checks():
@@ -174,7 +173,7 @@ def test_kahler_cone_ratio_examples():
     assert kahler_cone_ratio(decomposable(4, 4, 4)) == 0
     # the half-plane of a semistable-plus-line sum is sufficient only
     with pytest.raises(ValueError):
-        kahler_cone_ratio(SemistablePlusLine(semi_stable(2, -3, genus=1), 0))
+        kahler_cone_ratio(SemistablePlusLine(semi_stable(2, -3, genus=1)))
 
 
 def test_genus0_semistable_equals_balanced_decomposable():

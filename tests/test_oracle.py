@@ -136,7 +136,8 @@ def test_sweep_bundle_count_guard():
             sympow_sweep(max_rank=6, max_abs_degree=max_abs_degree, max_m=1)
         with pytest.raises(OracleGuardError, match="exceeds 100000 bundles"):
             cone_sweep(max_rank=6, max_abs_degree=max_abs_degree)
-    assert cone_sweep(max_rank=6, max_abs_degree=-1).lines == []
+    with pytest.raises(OracleGuardError):
+        cone_sweep(max_rank=6, max_abs_degree=-1)
 
 
 def test_sweep_summand_degree_guard(monkeypatch):
@@ -165,7 +166,26 @@ def test_ring_sweep_class_count_guard():
                   dict(samples=100000)):
         with pytest.raises(OracleGuardError, match="more than 1000000"):
             ring_sweep(**sizes)
-    assert ring_sweep(max_rank=0).lines == []
+    with pytest.raises(OracleGuardError):
+        ring_sweep(max_rank=0)
+
+
+@pytest.mark.parametrize("sweep, sizes", [
+    (ring_sweep, dict(max_rank=0)),
+    (ring_sweep, dict(max_abs_degree=-1)),
+    (ring_sweep, dict(samples=0)),
+    (sympow_sweep, dict(max_rank=0)),
+    (sympow_sweep, dict(max_abs_degree=-1)),
+    (sympow_sweep, dict(max_m=0)),
+    (cone_sweep, dict(max_rank=0)),
+    (cone_sweep, dict(max_abs_degree=-1)),
+    (cone_sweep, dict(grid=GridSpec(max_multisection=0))),
+])
+def test_sweeps_refuse_sizes_below_their_least(sweep, sizes):
+    # Each size one below its least value would leave the sweep nothing to
+    # check, and an empty report would read as all passed.
+    with pytest.raises(OracleGuardError, match="sweep needs"):
+        sweep(**sizes)
 
 
 def test_sample_cone_check_clean():
