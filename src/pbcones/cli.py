@@ -63,6 +63,10 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d*[1-9]\d*)?$")
 # u^n holds x^(n-1); past this rank its digits outgrow any useful answer.
 MAX_RING_RANK = 1000
 
+# The check flag that sets each size argument of the oracle sweeps.
+_CHECK_FLAGS = {"max_rank": "--max-rank", "max_abs_degree": "--max-degree",
+                "samples": "--samples", "max_m": "--max-m", "max_multisection": "--max-m"}
+
 # What every cmd_* returns: the JSON payload (main adds "command" in
 # front), the human-readable lines, and the exit code.
 CommandResult = tuple[dict, list[str], int]
@@ -318,18 +322,24 @@ def cmd_check(args) -> CommandResult:
     sizes = {key: value for key, value in (("max_rank", args.max_rank),
                                            ("max_abs_degree", args.max_degree))
              if value is not None}
-    if args.target == "ring":
-        seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
-        samples = 50 if args.samples is None else args.samples
-        report = oracle.ring_sweep(seed=seed, samples=samples, **sizes)
-    elif args.target == "sympow":
-        if args.max_m is not None:
-            sizes["max_m"] = args.max_m
-        report = oracle.sympow_sweep(**sizes)
-    else:
-        grid = (oracle.GridSpec() if args.max_m is None
-                else oracle.GridSpec(max_multisection=args.max_m))
-        report = oracle.cone_sweep(grid=grid, **sizes)
+    try:
+        if args.target == "ring":
+            seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
+            samples = 50 if args.samples is None else args.samples
+            report = oracle.ring_sweep(seed=seed, samples=samples, **sizes)
+        elif args.target == "sympow":
+            if args.max_m is not None:
+                sizes["max_m"] = args.max_m
+            report = oracle.sympow_sweep(**sizes)
+        else:
+            grid = (oracle.GridSpec() if args.max_m is None
+                    else oracle.GridSpec(max_multisection=args.max_m))
+            report = oracle.cone_sweep(grid=grid, **sizes)
+    except oracle.OracleGuardError as err:
+        if err.size is None:
+            raise
+        # "<sweep> sweep needs <size> ...": the first occurrence is the size
+        raise UsageError(str(err).replace(err.size, _CHECK_FLAGS[err.size], 1)) from None
     payload = {
         "target": args.target,
         "all_passed": report.all_passed,

@@ -188,17 +188,22 @@ def kahler_membership(u: DivisorClass, b: BundleSpec | SemistablePlusLine) -> bo
     positive genus; for semistable-plus-line sums the test is the known
     sufficient half-plane, so False may mean unknown.
     """
-    if u.ctx.convention is not Convention.QUOTIENT:
+    ctx = u.ctx
+    if ctx.convention is not Convention.QUOTIENT:
         raise ValueError("Kahler membership is computed in the quotient convention")
-    ctx = bundle_context(b)
-    if u.ctx != ctx:
+    if (ctx.rank, ctx.degree, ctx.genus) != (rank(b), degree(b), b.base):
+        want = bundle_context(b)
         raise ValueError(
-            f"class context (rank {u.ctx.rank}, degree {u.ctx.degree}, "
-            f"genus {u.ctx.genus.g}) does not match the bundle "
-            f"(rank {ctx.rank}, degree {ctx.degree}, genus {ctx.genus.g})"
+            f"class context (rank {ctx.rank}, degree {ctx.degree}, "
+            f"genus {ctx.genus.g}) does not match the bundle "
+            f"(rank {want.rank}, degree {want.degree}, genus {want.genus.g})"
         )
     s = _kahler_slope(b)  # an unknown cone raises whatever u is
-    return u.x > 0 and s * u.x + u.y > 0
+    # x > 0 and s*x + y > 0, decided on numerators over the common
+    # denominator: every denominator of a Fraction is positive.
+    x, y = u.x, u.y
+    return x.numerator > 0 and (s.numerator * x.numerator * y.denominator
+                                + y.numerator * s.denominator * x.denominator) > 0
 
 
 def kahler_cone_ratio(b: BundleSpec) -> Fraction:

@@ -50,7 +50,15 @@ _MAX_RING_CLASSES = 10**6
 
 
 class OracleGuardError(ValueError):
-    """An oracle size guard was exceeded."""
+    """An oracle size guard was exceeded.
+
+    A refusal of one size argument names it in `size`, so that a caller
+    can reword the message under the name its own user typed.
+    """
+
+    def __init__(self, message: str, size: str | None = None) -> None:
+        super().__init__(message)
+        self.size = size
 
 
 @dataclass(frozen=True)
@@ -128,19 +136,13 @@ def enumerate_sym_quotients(b: Decomposable, m: int) -> list[int]:
     if m < 1:
         raise ValueError(f"symmetric power exponent must be >= 1, got {m}")
 
-    degrees = b.degrees
-
-    def degrees_of(tail_start: int, remaining: int) -> list[int]:
-        if tail_start == r - 1:
-            return [remaining * degrees[tail_start]]
-        out = []
-        for k in range(remaining + 1):
-            head = k * degrees[tail_start]
-            for rest in degrees_of(tail_start + 1, remaining - k):
-                out.append(head + rest)
-        return out
-
-    return sorted(degrees_of(0, m))
+    # (degree so far, exponent left) for every choice of k_1..k_i; the
+    # last summand takes whatever exponent is left.
+    partial = [(0, m)]
+    for a in b.degrees[:-1]:
+        partial = [(deg + k * a, left - k) for deg, left in partial for k in range(left + 1)]
+    last = b.degrees[-1]
+    return sorted(deg + left * last for deg, left in partial)
 
 
 @dataclass(frozen=True)
@@ -178,12 +180,15 @@ def sample_cone_check(b: Decomposable, grid: GridSpec = GridSpec()) -> CheckRepo
         m: enumerate_sym_quotients(b, m) for m in range(1, grid.max_multisection + 1)
     }
     ctx = bundle_context(b)
+    # each grid coordinate with its Fraction, built once per bundle
+    ys = [(y, Fraction(y)) for y in range(grid.y_min, grid.y_max + 1)]
     tested = 0
     violations: list[str] = []
     for x in range(grid.x_min, grid.x_max + 1):
-        for y in range(grid.y_min, grid.y_max + 1):
+        fx = Fraction(x)
+        for y, fy in ys:
             if grid.strict:
-                member = kahler_membership(DivisorClass(x, y, ctx), b)
+                member = kahler_membership(DivisorClass(fx, fy, ctx), b)
             else:
                 member = x > 0 and a1 * x + y >= 0
             if not member:
@@ -228,12 +233,13 @@ def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts:
     and every count (samples, powers) at least 1."""
     if not 1 <= max_rank <= _MAX_ORACLE_RANK:
         raise OracleGuardError(f"{sweep} sweep needs max_rank from 1 to {_MAX_ORACLE_RANK}, "
-                               f"got {max_rank}")
+                               f"got {max_rank}", "max_rank")
     if max_abs_degree < 0:
-        raise OracleGuardError(f"{sweep} sweep needs max_abs_degree >= 0, got {max_abs_degree}")
+        raise OracleGuardError(f"{sweep} sweep needs max_abs_degree >= 0, got {max_abs_degree}",
+                               "max_abs_degree")
     for name, value in counts.items():
         if value < 1:
-            raise OracleGuardError(f"{sweep} sweep needs {name} >= 1, got {value}")
+            raise OracleGuardError(f"{sweep} sweep needs {name} >= 1, got {value}", name)
 
 
 def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int = 10,

@@ -4,6 +4,7 @@ rational equality throughout) and prints one PASS/FAIL line.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -64,6 +65,16 @@ def criterion(name):
     print(f"ACCEPTANCE {name}: PASS")
 
 
+# sha256 of the full acceptance-size reports, which the sweeps must render
+# byte for byte however their arithmetic is done.
+SYMPOW_REPORT_SHA256 = "98c5e3d5ec45ddb41696ad50ed9f25d9752a7d2dfed2986fd5f85e87b2512e02"
+CONE_REPORT_SHA256 = "e786da2d432df6bfc4162912fcbf15ab0a5d01bfcffc9f5441d756149e4102f7"
+
+
+def sha256_of(report):
+    return hashlib.sha256(report.render().encode("utf-8")).hexdigest()
+
+
 def divisor(genus, alpha, xy, n=2, areas=None):
     return ExceptionalDivisorData.over_surface(genus, alpha, xy, fiber_rank=n,
                                                ruled_areas=areas)
@@ -98,6 +109,7 @@ def test_symmetric_power_formulas(sympow_report):
         failures = [line.render() for line in report.lines if not line.passed]
         assert not failures, failures[:5]
         assert elapsed < 10.0, f"sympow sweep took {elapsed:.2f}s"
+        assert sha256_of(report) == SYMPOW_REPORT_SHA256
 
 
 def test_decomposable_curve_cone_bound(sympow_report):
@@ -112,6 +124,7 @@ def test_decomposable_curve_cone_bound(sympow_report):
         grid_report = cone_sweep(max_rank=4, max_abs_degree=5)
         bad = [line.render() for line in grid_report.lines if not line.passed]
         assert not bad, bad[:5]
+        assert sha256_of(grid_report) == CONE_REPORT_SHA256
 
         for degs in [(0, 2), (-2, -1), (-1, 0, 3), (1, 2, 2, 5)]:
             b = decomposable(*degs)

@@ -17,14 +17,22 @@ from pbcones.blowdown import (
     refibred_along_second_ruling,
     validate_certificate,
 )
-from pbcones.bundles import SurfaceGenus, decomposable, degree, rank, semi_stable, twist
+from pbcones.bundles import (
+    Decomposable,
+    SurfaceGenus,
+    decomposable,
+    degree,
+    rank,
+    semi_stable,
+    twist,
+)
 from pbcones.cohomology import (
     BundleContext,
     Convention,
     DivisorClass,
     forward_ratio,
 )
-from pbcones.cones import plus_trivial_line, restrict_to_divisor
+from pbcones.cones import SemistablePlusLine, restrict_to_divisor
 
 Q = Fraction
 
@@ -213,7 +221,13 @@ def test_certificate_property(g, n, alpha, excess):
     assert d.rho == rho
     cert = build_matching_triple(d)
     assert validate_certificate(cert, d)
-    assert cert.ambient_bundle == plus_trivial_line(cert.model_bundle)
+    v, ambient = cert.model_bundle, cert.ambient_bundle
+    if isinstance(v, Decomposable):
+        assert isinstance(ambient, Decomposable)
+        assert ambient.degrees == tuple(sorted(v.degrees + (0,)))
+    else:
+        assert g > 0 and isinstance(ambient, SemistablePlusLine)
+        assert (rank(ambient), degree(ambient)) == (n + 1, alpha)
 
 
 # ------------------------------------------------------------ verdict

@@ -230,6 +230,19 @@ def test_usage_errors_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    ("check cone --max-degree -1", "cone sweep needs --max-degree >= 0, got -1"),
+    ("check sympow --max-rank 7", "sympow sweep needs --max-rank from 1 to 6, got 7"),
+    ("check ring --samples 0", "ring sweep needs --samples >= 1, got 0"),
+    ("check sympow --max-m 0", "sympow sweep needs --max-m >= 1, got 0"),
+    ("check cone --max-m 0", "cone sweep needs --max-m >= 1, got 0"),
+])
+def test_check_size_refusals_name_the_flag(capsys, argv, refusal):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+
+
 def test_check_commands(capsys):
     assert main("check ring --seed 1 --max-rank 2 --max-degree 2 --samples 5".split()) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,13 @@
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pbcones.bundles import (
+    Decomposable,
     SurfaceGenus,
     decomposable,
     degree,
@@ -114,6 +118,61 @@ def test_kahler_membership_context_checks():
     sub = DivisorClass(1, 1, BundleContext(2, 2, Convention.SUB, G0))
     with pytest.raises(ValueError):
         kahler_membership(sub, b)
+
+
+big = st.integers(-10**12, 10**12)
+# Numerators and denominators up to 10^12, zero and negative coordinates.
+coordinate = st.one_of(st.just(Q(0)), st.builds(Q, big, st.integers(1, 10**12)))
+bundle_kinds = st.one_of(
+    st.builds(lambda degs, g: Decomposable(tuple(degs), SurfaceGenus(g)),
+              st.lists(big, min_size=1, max_size=6), st.integers(0, 2)),
+    st.builds(semi_stable, st.integers(1, 6), big, st.integers(1, 2)),
+    # a positive degree leaves the cone of V + O unknown
+    st.builds(lambda r, d, g: SemistablePlusLine(semi_stable(r, d, g)),
+              st.integers(1, 6), big, st.integers(1, 2)),
+)
+UNKNOWN_CONE = ("Kahler cone unknown: the trivial summand's slope is below the "
+                "semistable slope")
+
+
+def _mismatch(ctx, b):
+    return (f"class context (rank {ctx.rank}, degree {ctx.degree}, genus {ctx.genus.g}) "
+            f"does not match the bundle (rank {rank(b)}, degree {degree(b)}, "
+            f"genus {b.base.g})")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bundle_kinds, coordinate, coordinate,
+       st.one_of(st.none(), st.sampled_from([Q(-1, 10**12), Q(0), Q(1, 10**12)])))
+@example(decomposable(3, 5), Q(1, 7), Q(-3, 7), None)  # on the boundary
+@example(decomposable(-10**12, 0), Q(0), Q(1), None)  # x = 0
+@example(semi_stable(3, -7, 1), Q(3, 10**12), Q(7, 10**12), None)
+@example(SemistablePlusLine(semi_stable(2, 0, 1)), Q(5), Q(0), None)
+@example(SemistablePlusLine(semi_stable(2, 1, 1)), Q(1), Q(1), None)
+def test_kahler_membership_is_the_fraction_rule(b, x, y, boundary_shift):
+    # x > 0 and s*x + y > 0 in Fractions, s read off each bundle kind here;
+    # boundary_shift puts y at -s*x plus a shift of 0 or 10^-12
+    v = b.semistable if isinstance(b, SemistablePlusLine) else b
+    s = Q(min(v.degrees)) if isinstance(v, Decomposable) else Q(v.degree, v.rank)
+    if boundary_shift is not None:
+        y = -s * x + boundary_shift
+    ctx = bundle_context(b)
+    if isinstance(b, SemistablePlusLine) and s > 0:
+        with pytest.raises(ValueError, match=f"^{re.escape(UNKNOWN_CONE)}$"):
+            kahler_membership(DivisorClass(x, y, ctx), b)
+    else:
+        assert kahler_membership(DivisorClass(x, y, ctx), b) == (x > 0 and s * x + y > 0)
+    # refusals come first, in order: the sub convention, then the context
+    for wrong in (BundleContext(ctx.rank + 1, ctx.degree, Convention.QUOTIENT, ctx.genus),
+                  BundleContext(ctx.rank, ctx.degree - 1, Convention.QUOTIENT, ctx.genus),
+                  BundleContext(ctx.rank, ctx.degree, Convention.QUOTIENT,
+                                SurfaceGenus(ctx.genus.g + 1))):
+        with pytest.raises(ValueError, match=f"^{re.escape(_mismatch(wrong, b))}$"):
+            kahler_membership(DivisorClass(x, y, wrong), b)
+        sub = BundleContext(wrong.rank, wrong.degree, Convention.SUB, wrong.genus)
+        with pytest.raises(ValueError, match="^Kahler membership is computed in the "
+                                             "quotient convention$"):
+            kahler_membership(DivisorClass(x, y, sub), b)
 
 
 def test_kahler_cone_inside_forward_cone():

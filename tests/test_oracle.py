@@ -3,7 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +118,18 @@ def test_enumerate_sym_quotients_examples():
         assert len(enum) == math.comb(m + 2, m)
         assert min(enum) == -2 * m
         assert enum == sorted(sym_power(b, m).degrees)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6), st.integers(1, 8))
+@example([-3, 0, 0, 2, 5, 9], 8)
+@example([7], 1)
+def test_enumerate_sym_quotients_matches_exponent_product(degrees, m):
+    # every exponent vector (k_1..k_r) in 0..m with sum m, taken one by one
+    b = decomposable(*degrees)
+    brute = sorted(sum(k * a for k, a in zip(ks, b.degrees))
+                   for ks in product(range(m + 1), repeat=len(b.degrees)) if sum(ks) == m)
+    assert enumerate_sym_quotients(b, m) == brute
 
 
 def test_enumerate_guards():
