@@ -81,13 +81,10 @@ class ExceptionalDivisorData:
     forward cone.  None means the divisor is a projective space over a
     point (in dimension six: a plane with normal degree -1).  base_genus,
     fiber_rank, alpha and the class ratio rho are read off the class, and
-    are None over a point.  ruled_areas is the area pair of the two
-    rulings, present exactly in the genus-0, rank-2, alpha = 2 case where
-    the divisor is a product of spheres with two blow-down candidates.
+    are None over a point; so are the ruling areas of the sphere product.
     """
 
     omega_class: DivisorClass | None
-    ruled_areas: tuple[Fraction, Fraction] | None = None
     base_genus: SurfaceGenus | None = field(init=False)
     fiber_rank: int | None = field(init=False)
     alpha: int | None = field(init=False)
@@ -106,28 +103,6 @@ class ExceptionalDivisorData:
             derived = (u.ctx.genus, u.ctx.rank, -u.ctx.degree, r.value)
         for name, value in zip(("base_genus", "fiber_rank", "alpha", "rho"), derived):
             object.__setattr__(self, name, value)
-        if self.ruled_areas is not None:
-            if u is None:
-                raise ValueError("point-base divisor data carries no ruling areas")
-            x, y = self.ruled_areas
-            object.__setattr__(self, "ruled_areas", (Fraction(x), Fraction(y)))
-        if self.is_double_ruling_case:
-            if self.ruled_areas is None:
-                raise ValueError(
-                    "a sphere-product divisor with alpha = 2 has two rulings; "
-                    "their areas are required"
-                )
-            x, y = self.ruled_areas
-            if x <= 0 or y <= 0:
-                raise ValueError("ruling areas must be positive")
-            if self.rho != 2 * y / x:
-                raise ValueError(
-                    f"inconsistent data: the class ratio {self.rho} must "
-                    f"equal 2*(second area)/(first area) = {2 * y / x}"
-                )
-        elif self.ruled_areas is not None:
-            raise ValueError("ruling areas only apply to the genus-0, alpha = 2, "
-                             "rank-2 divisor")
 
     @property
     def is_point_base(self) -> bool:
@@ -138,29 +113,56 @@ class ExceptionalDivisorData:
         return (self.base_genus is not None and self.base_genus.g == 0
                 and self.fiber_rank == 2 and self.alpha == 2)
 
+    @property
+    def ruled_areas(self) -> tuple[Fraction, Fraction] | None:
+        """The sphere product's two ruling areas (x, x + y), for class (x, y)."""
+        if not self.is_double_ruling_case:
+            return None
+        u = self.omega_class
+        return u.x, u.x + u.y
+
     @classmethod
     def point(cls) -> "ExceptionalDivisorData":
         return cls(None)
 
     @classmethod
     def over_surface(cls, genus: int, alpha: int,
-                     omega_xy: tuple[Rational, Rational],
+                     omega_xy: tuple[Rational, Rational] | None = None,
                      fiber_rank: int = 2,
                      ruled_areas: tuple[Rational, Rational] | None = None,
                      ) -> "ExceptionalDivisorData":
+        """Surface-base divisor data from its class, or, for the sphere
+        product (genus 0, alpha = 2, rank 2), from its ruling areas or both.
+
+        With areas (a, b) the volume is 2ab, so the ratio with respect to
+        the first ruling is 2b/a and the class is (a, b - a); a class given
+        with the areas must have that ratio.
+        """
+        if ruled_areas is not None:
+            if (genus, alpha, fiber_rank) != (0, 2, 2):
+                raise ValueError("ruling areas only apply to the genus-0, alpha = 2, "
+                                 "rank-2 divisor")
+            a, b = Fraction(ruled_areas[0]), Fraction(ruled_areas[1])
+            if a <= 0 or b <= 0:
+                raise ValueError("ruling areas must be positive")
+            if omega_xy is None:
+                omega_xy = (a, b - a)
+        elif omega_xy is None:
+            raise ValueError("a surface-base divisor needs its class "
+                             "(or, for the sphere product, its ruling areas)")
         ctx = BundleContext(fiber_rank, -alpha, Convention.SUB, SurfaceGenus(genus))
-        return cls(DivisorClass(omega_xy[0], omega_xy[1], ctx), ruled_areas)
+        d = cls(DivisorClass(omega_xy[0], omega_xy[1], ctx))
+        if ruled_areas is not None and d.rho != 2 * b / a:
+            raise ValueError(
+                f"inconsistent data: the class ratio {d.rho} must "
+                f"equal 2*(second area)/(first area) = {2 * b / a}"
+            )
+        return d
 
     @classmethod
     def from_ruled_areas(cls, first: Rational, second: Rational) -> "ExceptionalDivisorData":
-        """Sphere-product divisor (alpha = 2) from the two ruling areas.
-
-        With areas (x, y) the volume is 2xy, so the ratio with respect to
-        the first ruling is 2y/x and the class is (x, y - x) in the sub
-        convention.
-        """
-        x, y = Fraction(first), Fraction(second)
-        return cls.over_surface(0, 2, (x, y - x), fiber_rank=2, ruled_areas=(x, y))
+        """Sphere-product divisor (alpha = 2) from the two ruling areas."""
+        return cls.over_surface(0, 2, ruled_areas=(first, second))
 
 
 def is_admissible(d: ExceptionalDivisorData) -> bool:

@@ -256,22 +256,15 @@ def cmd_blowdown(args) -> CommandResult:
         if args.genus is None or args.alpha is None:
             raise UsageError("surface-base blow-down needs --genus and --alpha "
                              "(or --base point)")
-        n = 2 if args.fiber_rank is None else args.fiber_rank
-        areas = None
-        if args.ruled_areas is not None:
-            areas = _parse_pair(args.ruled_areas, "--ruled-areas")
-        if args.class_xy is not None:
-            data = ExceptionalDivisorData.over_surface(
-                args.genus, args.alpha, _parse_pair(args.class_xy, "--class"),
-                fiber_rank=n, ruled_areas=areas)
-        elif areas is not None:
-            if not (args.genus == 0 and args.alpha == 2 and n == 2):
-                raise UsageError("--ruled-areas without --class only applies to "
-                                 "the genus-0, alpha=2 sphere product")
-            data = ExceptionalDivisorData.from_ruled_areas(*areas)
-        else:
-            raise UsageError("give --class X,Y (and --ruled-areas in the "
-                             "sphere-product case)")
+        if args.class_xy is None and args.ruled_areas is None:
+            raise UsageError("give --class X,Y or, for the genus-0, alpha=2 sphere "
+                             "product, --ruled-areas X,Y (or both)")
+        data = ExceptionalDivisorData.over_surface(
+            args.genus, args.alpha,
+            None if args.class_xy is None else _parse_pair(args.class_xy, "--class"),
+            fiber_rank=2 if args.fiber_rank is None else args.fiber_rank,
+            ruled_areas=(None if args.ruled_areas is None
+                         else _parse_pair(args.ruled_areas, "--ruled-areas")))
 
     verdict = blowdown_verdict_dim6(data)
     cert, ruling = verdict.certificate, verdict.chosen_ruling
@@ -461,6 +454,8 @@ def _expand_spec(argv: list[str]) -> list[str]:
         raise UsageError(f"cannot read spec file {known.spec!r}: {err}") from None
     if not isinstance(spec, dict):
         raise UsageError(f"spec file {known.spec!r} must contain a JSON object")
+    if "spec" in spec:
+        raise UsageError(f"spec file {known.spec!r} may not name another spec file")
     flags: list[str] = []
     for key, value in spec.items():
         flag = ("-" + key) if len(key) == 1 else ("--" + key.replace("_", "-"))

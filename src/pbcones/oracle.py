@@ -269,9 +269,13 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     return report
 
 
-def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_power: int) -> None:
-    """Count the degree multisets a sweep walks, and the summand degrees of
-    their symmetric powers up to max_power, before walking them."""
+def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, **power: int) -> None:
+    """Refuse what _guard_least_sizes refuses; then count the degree
+    multisets a sweep walks, and the summand degrees of their symmetric
+    powers up to its one power size (max_m or max_multisection), before
+    walking them; then refuse a power past the oracle's cap."""
+    _guard_least_sizes(sweep, max_rank, max_abs_degree, **power)
+    ((name, max_power),) = power.items()
     span = 2 * max_abs_degree + 1
     bundles = {r: math.comb(span + r - 1, r) for r in range(1, max_rank + 1)}
     if sum(bundles.values()) > _MAX_SWEEP_BUNDLES:
@@ -285,15 +289,15 @@ def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_power:
         raise OracleGuardError(f"{sweep} sweep up to rank {max_rank}, degree {max_abs_degree} "
                                f"and power {max_power} enumerates {degrees} summand degrees, "
                                f"more than {_MAX_SWEEP_DEGREES}")
+    if max_power > _MAX_ORACLE_POWER:
+        raise OracleGuardError(f"{sweep} sweep needs {name} <= {_MAX_ORACLE_POWER}, "
+                               f"got {max_power}", name)
 
 
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
     minimal-degree bound against raw enumeration."""
-    _guard_least_sizes("sympow", max_rank, max_abs_degree, max_m=max_m)
-    if max_m > _MAX_ORACLE_POWER:
-        raise OracleGuardError(f"sympow sweep capped at power {_MAX_ORACLE_POWER}, got {max_m}")
-    _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m)
+    _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m=max_m)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
@@ -326,9 +330,7 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
 def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3,
                grid: GridSpec = GridSpec()) -> CheckReport:
     """Run the cone positivity check over all decomposable bundles in range."""
-    _guard_least_sizes("cone", max_rank, max_abs_degree,
-                       max_multisection=grid.max_multisection)
-    _guard_sweep_size("cone", max_rank, max_abs_degree, grid.max_multisection)
+    _guard_sweep_size("cone", max_rank, max_abs_degree, max_multisection=grid.max_multisection)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)

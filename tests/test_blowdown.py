@@ -49,24 +49,28 @@ def test_divisor_data_validation():
     # class must live in the forward cone: ratio = -1 + 2*0 < 0
     with pytest.raises(ValueError, match="forward cone"):
         divisor(0, -1, (1, 0))
-    # sphere-product case needs areas
-    with pytest.raises(ValueError, match="areas"):
-        divisor(0, 2, (1, 1))
-    # areas rejected away from the sphere-product case
-    with pytest.raises(ValueError, match="areas only apply"):
-        divisor(1, 2, (1, 1), areas=(1, 2))
+    # the sphere product's ruling areas are read off its class (x, y) as
+    # (x, x + y), and are None for every other divisor
+    assert divisor(0, 2, (1, 1)).ruled_areas == (1, 2)
+    assert divisor(0, 2, (Q(3, 2), Q(-1, 2))).ruled_areas == (Q(3, 2), 1)
+    assert divisor(1, 2, (1, 1)).ruled_areas is None
+    assert ExceptionalDivisorData.point().ruled_areas is None
+    # areas rejected away from the sphere-product case, and unless positive
+    for genus, n in ((1, 2), (0, 3)):
+        with pytest.raises(ValueError, match="areas only apply"):
+            divisor(genus, 2, None, n=n, areas=(1, 2))
+    with pytest.raises(ValueError, match="must be positive"):
+        ExceptionalDivisorData.from_ruled_areas(1, -1)
     # inconsistent areas vs class ratio
     with pytest.raises(ValueError, match="inconsistent"):
         divisor(0, 2, (1, 1), areas=(1, 3))
     # consistent: areas (1,2) give ratio 4 = 2 + 2*(y/x) with class (1,1)
     d = divisor(0, 2, (1, 1), areas=(1, 2))
     assert forward_ratio(d.omega_class) == 4
-    # the class must be in the sub convention; a point carries no areas
+    # the class must be in the sub convention
     quotient = DivisorClass(1, 1, BundleContext(2, 1, Convention.QUOTIENT))
     with pytest.raises(ValueError, match="sub convention"):
         ExceptionalDivisorData(quotient)
-    with pytest.raises(ValueError, match="ruling areas"):
-        ExceptionalDivisorData(None, ruled_areas=(1, 2))
 
 
 def test_derived_fields_read_off_the_class():
@@ -93,6 +97,15 @@ def test_from_ruled_areas():
     assert forward_ratio(d.omega_class) == 4
     eq = ExceptionalDivisorData.from_ruled_areas(Q(3, 2), Q(3, 2))
     assert forward_ratio(eq.omega_class) == 2
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(positive_rationals, positive_rationals)
+def test_ruled_areas_round_trip(a, b):
+    assert ExceptionalDivisorData.from_ruled_areas(a, b).ruled_areas == (a, b)
 
 
 def test_point_data():
@@ -281,6 +294,21 @@ def test_sphere_product_swap_symmetry():
         assert v1.certificate.restricted_ratio == v2.certificate.restricted_ratio
     eq1 = blowdown_verdict_dim6(ExceptionalDivisorData.from_ruled_areas(2, 2))
     assert eq1.kind is VerdictKind.UNDETERMINED
+
+
+def test_sphere_product_class_decides_as_its_areas():
+    # the class (x, y) and the areas (x, x + y) are one divisor: same kind,
+    # ruling, certificate and reason, the equal-area rho = 2 case included
+    seen = set()
+    for x in (Q(1, 3), Q(1), Q(5, 2)):
+        for y in (Q(-1, 4) * x, Q(-1, 7), Q(0), Q(1, 2), Q(3), Q(-5, 6)):
+            if x + y <= 0:
+                continue
+            by_class = blowdown_verdict_dim6(divisor(0, 2, (x, y)))
+            by_areas = blowdown_verdict_dim6(ExceptionalDivisorData.from_ruled_areas(x, x + y))
+            assert by_class == by_areas, (x, y)
+            seen.add(by_class.chosen_ruling)
+    assert seen == {Ruling.FIRST, Ruling.SECOND, None}
 
 
 def test_second_ruling_refibration():

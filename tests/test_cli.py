@@ -150,6 +150,17 @@ def test_blowdown_human_output(capsys):
     assert '"chosen_ruling": "first"' in out
 
 
+@pytest.mark.parametrize("xy, areas", [("1,1", "1,2"), ("2,-1", "2,1"), ("3/2,0", "3/2,3/2"),
+                                       ("1/3,5/7", "1/3,22/21")])
+def test_blowdown_class_and_areas_agree(capsys, xy, areas):
+    # the sphere product's class X,Y is the divisor with areas X,X+Y
+    runs = []
+    for flag, value in (("--class", xy), ("--ruled-areas", areas)):
+        code = main(["blowdown", "--genus", "0", "--alpha", "2", flag, value, "--json"])
+        runs.append((capsys.readouterr().out, code))
+    assert runs[0] == runs[1]
+
+
 def test_blowdown_convention_notice(capsys):
     # --convention has no effect: stdout and exit code match the run
     # without it, and stderr carries one notice line
@@ -189,7 +200,9 @@ USAGE_ERRORS = [
     "cone --semistable 0,2 --genus 1",
     "cone --degrees 1,2 --semistable 2,2",
     "cone --degrees 0,2 --class 0/0,1",
-    "blowdown --genus 0 --alpha 2 --class 1,1",
+    "blowdown --genus 0 --alpha 2",
+    "blowdown --genus 0 --alpha 2 --ruled-areas 1,-1",
+    "blowdown --genus 1 --alpha 2 --ruled-areas 1,2",
     "blowdown --genus 0 --alpha -1 --class 0,1",
     "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 3",
     "blowdown --genus 0 --alpha 2 --ruled-areas 1/0,1",
@@ -236,6 +249,8 @@ def test_usage_errors_exit_2(capsys):
     ("check ring --samples 0", "ring sweep needs --samples >= 1, got 0"),
     ("check sympow --max-m 0", "sympow sweep needs --max-m >= 1, got 0"),
     ("check cone --max-m 0", "cone sweep needs --max-m >= 1, got 0"),
+    ("check sympow --max-m 9", "sympow sweep needs --max-m <= 8, got 9"),
+    ("check cone --max-m 9", "cone sweep needs --max-m <= 8, got 9"),
 ])
 def test_check_size_refusals_name_the_flag(capsys, argv, refusal):
     assert main(argv.split()) == 2
@@ -313,3 +328,11 @@ def test_spec_file_errors(tmp_path, capsys):
     bad.write_text("[1,2]")
     assert main(["ring", "--spec", str(bad)]) == 2
     capsys.readouterr()
+    # a spec file naming a spec file is refused, not silently ignored
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"spec": "missing.json", "rank": 2, "deg": 2,
+                                  "class": "1,0"}))
+    assert main(["ring", "--spec", str(nested)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
