@@ -63,9 +63,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d*[1-9]\d*)?$")
 # u^n holds x^(n-1); past this rank its digits outgrow any useful answer.
 MAX_RING_RANK = 1000
 
-# The check flag that sets each size argument of the oracle sweeps.
-_CHECK_FLAGS = {"max_rank": "--max-rank", "max_abs_degree": "--max-degree",
-                "samples": "--samples", "max_m": "--max-m", "max_multisection": "--max-m"}
+# The flags each check target takes, and the keyword of its oracle sweep
+# that each one sets; a flag left out keeps the sweep's own default.
+_SIZES = {"--max-rank": "max_rank", "--max-degree": "max_abs_degree"}
+_CHECK_TARGETS = {
+    "ring": {"--seed": "seed", **_SIZES, "--samples": "samples"},
+    "sympow": {**_SIZES, "--max-m": "max_m"},
+    "cone": {**_SIZES, "--max-m": "max_m"},
+}
+# Every check flag, in the order the parser lists them and a refusal names them.
+_CHECK_FLAGS = list(dict.fromkeys(flag for row in _CHECK_TARGETS.values() for flag in row))
 
 # What every cmd_* returns: the JSON payload (main adds "command" in
 # front), the human-readable lines, and the exit code.
@@ -302,37 +309,25 @@ def cmd_blowdown(args) -> CommandResult:
 
 
 def cmd_check(args) -> CommandResult:
-    ignored = ((("--max-m", args.max_m),) if args.target == "ring"
-               else (("--seed", args.seed), ("--samples", args.samples)))
-    given = [flag for flag, value in ignored if value is not None]
-    if given:
-        raise UsageError(f"check {args.target} takes no {', '.join(given)}")
+    row = _CHECK_TARGETS[args.target]
+    given = {flag: value for flag in _CHECK_FLAGS
+             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
+    ignored = [flag for flag in given if flag not in row]
+    if ignored:
+        raise UsageError(f"check {args.target} takes no {', '.join(ignored)}")
     # Only check needs the oracle (and its hashlib and random); importing it
     # here keeps it out of every other command's start-up.
     from . import oracle
 
-    # Flags left out fall back to the sweep's own defaults.
-    sizes = {key: value for key, value in (("max_rank", args.max_rank),
-                                           ("max_abs_degree", args.max_degree))
-             if value is not None}
     try:
-        if args.target == "ring":
-            seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
-            samples = 50 if args.samples is None else args.samples
-            report = oracle.ring_sweep(seed=seed, samples=samples, **sizes)
-        elif args.target == "sympow":
-            if args.max_m is not None:
-                sizes["max_m"] = args.max_m
-            report = oracle.sympow_sweep(**sizes)
-        else:
-            grid = (oracle.GridSpec() if args.max_m is None
-                    else oracle.GridSpec(max_multisection=args.max_m))
-            report = oracle.cone_sweep(grid=grid, **sizes)
+        report = getattr(oracle, f"{args.target}_sweep")(
+            **{row[flag]: value for flag, value in given.items()})
     except oracle.OracleGuardError as err:
         if err.size is None:
             raise
         # "<sweep> sweep needs <size> ...": the first occurrence is the size
-        raise UsageError(str(err).replace(err.size, _CHECK_FLAGS[err.size], 1)) from None
+        flag = next(flag for flag, size in row.items() if size == err.size)
+        raise UsageError(str(err).replace(err.size, flag, 1)) from None
     payload = {
         "target": args.target,
         "all_passed": report.all_passed,
@@ -408,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     blow.set_defaults(func=cmd_blowdown)
 
     check = sub.add_parser("check", parents=[common], help="run brute-force oracle sweeps")
-    check.add_argument("target", choices=["ring", "sympow", "cone"])
-    check.add_argument("--seed", type=int, default=None, help="ring only")
-    check.add_argument("--max-rank", type=int, default=None)
-    check.add_argument("--max-m", type=int, default=None, help="sympow and cone only")
-    check.add_argument("--max-degree", type=int, default=None)
-    check.add_argument("--samples", type=int, default=None, help="ring only, default 50")
+    check.add_argument("target", choices=list(_CHECK_TARGETS))
+    for flag in _CHECK_FLAGS:
+        takers = [target for target, row in _CHECK_TARGETS.items() if flag in row]
+        check.add_argument(flag, type=int, default=None,
+                           help=None if len(takers) == len(_CHECK_TARGETS)
+                           else f"{' and '.join(takers)} only")
     check.set_defaults(func=cmd_check)
 
     return parser

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import ClassVar
 
 from .bundles import Decomposable, SurfaceGenus, sym_power, sym_rank_degree
 from .cohomology import BundleContext, Convention, DivisorClass, top_power
@@ -145,60 +144,39 @@ def enumerate_sym_quotients(b: Decomposable, m: int) -> list[int]:
     return sorted(deg + left * last for deg, left in partial)
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    """Integer sampling grid for cone checks.
+    """The integer grid of classes (x, y) that the cone check samples."""
 
-    strict=False replaces the strict membership inequality with a closed
-    one; this is the deliberate negative control that must produce
-    boundary violations.
-    """
-
-    x_min: ClassVar[int] = 1
-    x_max: ClassVar[int] = 5
-    y_min: ClassVar[int] = -5
-    y_max: ClassVar[int] = 5
-    max_multisection: int = 5
-    strict: bool = True
-
-    def describe(self) -> str:
-        kind = "strict" if self.strict else "closed"
-        return (f"x[{self.x_min},{self.x_max}] y[{self.y_min},{self.y_max}] "
-                f"m<={self.max_multisection} {kind}")
+    x_min, x_max = 1, 5
+    y_min, y_max = -5, 5
 
 
-def sample_cone_check(b: Decomposable, grid: GridSpec = GridSpec()) -> CheckReport:
+def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
     """Check that Kahler membership forces positive pairing with every
-    enumerated multisection class bound a*l + m*eta.
+    enumerated multisection class bound a*l + m*eta, m from 1 to max_m.
 
     Pairings are computed inline as a*x + m*y over the integer grid; the
     candidate degrees a come from the symmetric-power enumeration.
     """
     report = CheckReport()
-    a1 = min(b.degrees)
-    section_degrees = {
-        m: enumerate_sym_quotients(b, m) for m in range(1, grid.max_multisection + 1)
-    }
+    section_degrees = {m: enumerate_sym_quotients(b, m) for m in range(1, max_m + 1)}
     ctx = bundle_context(b)
     # each grid coordinate with its Fraction, built once per bundle
-    ys = [(y, Fraction(y)) for y in range(grid.y_min, grid.y_max + 1)]
+    ys = [(y, Fraction(y)) for y in range(GridSpec.y_min, GridSpec.y_max + 1)]
     tested = 0
     violations: list[str] = []
-    for x in range(grid.x_min, grid.x_max + 1):
+    for x in range(GridSpec.x_min, GridSpec.x_max + 1):
         fx = Fraction(x)
         for y, fy in ys:
-            if grid.strict:
-                member = kahler_membership(DivisorClass(fx, fy, ctx), b)
-            else:
-                member = x > 0 and a1 * x + y >= 0
-            if not member:
+            if not kahler_membership(DivisorClass(fx, fy, ctx), b):
                 continue
             tested += 1
             for m, degs in section_degrees.items():
                 for a in degs:
                     if a * x + m * y <= 0:
                         violations.append(f"({x},{y}) pairs {a * x + m * y} with {a}l+{m}eta")
-    key = f"cone degrees={list(b.degrees)} grid={grid.describe()}"
+    key = (f"cone degrees={list(b.degrees)} grid=x[{GridSpec.x_min},{GridSpec.x_max}] "
+           f"y[{GridSpec.y_min},{GridSpec.y_max}] m<={max_m} strict")
     if violations:
         report.add("cone-positivity", key, False,
                    f"classes={tested} violations={len(violations)} first={violations[0]}")
@@ -243,7 +221,7 @@ def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts:
 
 
 def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int = 10,
-               samples: int = 1000) -> CheckReport:
+               samples: int = 50) -> CheckReport:
     """Compare the closed top-power formula with the brute ring oracle on
     random rational classes, for every rank, degree and convention."""
     _guard_least_sizes("ring", max_rank, max_abs_degree, samples=samples)
@@ -269,13 +247,12 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     return report
 
 
-def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, **power: int) -> None:
+def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_m: int) -> None:
     """Refuse what _guard_least_sizes refuses; then count the degree
     multisets a sweep walks, and the summand degrees of their symmetric
-    powers up to its one power size (max_m or max_multisection), before
-    walking them; then refuse a power past the oracle's cap."""
-    _guard_least_sizes(sweep, max_rank, max_abs_degree, **power)
-    ((name, max_power),) = power.items()
+    powers up to max_m, before walking them; then refuse a power past the
+    oracle's cap."""
+    _guard_least_sizes(sweep, max_rank, max_abs_degree, max_m=max_m)
     span = 2 * max_abs_degree + 1
     bundles = {r: math.comb(span + r - 1, r) for r in range(1, max_rank + 1)}
     if sum(bundles.values()) > _MAX_SWEEP_BUNDLES:
@@ -283,21 +260,20 @@ def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, **power: i
                                f"{max_abs_degree} in absolute value exceeds "
                                f"{_MAX_SWEEP_BUNDLES} bundles")
     # sum over m = 1..M of C(m + r - 1, r - 1) is C(M + r, r) - 1
-    degrees = sum(count * (math.comb(max_power + r, r) - 1)
-                  for r, count in bundles.items())
+    degrees = sum(count * (math.comb(max_m + r, r) - 1) for r, count in bundles.items())
     if degrees > _MAX_SWEEP_DEGREES:
         raise OracleGuardError(f"{sweep} sweep up to rank {max_rank}, degree {max_abs_degree} "
-                               f"and power {max_power} enumerates {degrees} summand degrees, "
+                               f"and power {max_m} enumerates {degrees} summand degrees, "
                                f"more than {_MAX_SWEEP_DEGREES}")
-    if max_power > _MAX_ORACLE_POWER:
-        raise OracleGuardError(f"{sweep} sweep needs {name} <= {_MAX_ORACLE_POWER}, "
-                               f"got {max_power}", name)
+    if max_m > _MAX_ORACLE_POWER:
+        raise OracleGuardError(f"{sweep} sweep needs max_m <= {_MAX_ORACLE_POWER}, "
+                               f"got {max_m}", "max_m")
 
 
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
     minimal-degree bound against raw enumeration."""
-    _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m=max_m)
+    _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
@@ -327,14 +303,14 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
     return report
 
 
-def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3,
-               grid: GridSpec = GridSpec()) -> CheckReport:
-    """Run the cone positivity check over all decomposable bundles in range."""
-    _guard_sweep_size("cone", max_rank, max_abs_degree, max_multisection=grid.max_multisection)
+def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3, max_m: int = 5) -> CheckReport:
+    """Run the cone positivity check, with multisections of degree up to
+    max_m, over all decomposable bundles in range."""
+    _guard_sweep_size("cone", max_rank, max_abs_degree, max_m)
     report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
     for r in range(1, max_rank + 1):
         for degrees in combinations_with_replacement(span, r):
-            report.extend(sample_cone_check(Decomposable(degrees, genus0), grid))
+            report.extend(sample_cone_check(Decomposable(degrees, genus0), max_m))
     return report

@@ -251,6 +251,14 @@ def test_usage_errors_exit_2(capsys):
     ("check cone --max-m 0", "cone sweep needs --max-m >= 1, got 0"),
     ("check sympow --max-m 9", "sympow sweep needs --max-m <= 8, got 9"),
     ("check cone --max-m 9", "cone sweep needs --max-m <= 8, got 9"),
+    ("check ring --max-rank 7", "ring sweep needs --max-rank from 1 to 6, got 7"),
+    ("check ring --max-degree -1", "ring sweep needs --max-degree >= 0, got -1"),
+    ("check cone --max-rank 0", "cone sweep needs --max-rank from 1 to 6, got 0"),
+    ("check sympow --max-degree -1", "sympow sweep needs --max-degree >= 0, got -1"),
+    # flags the target does not take
+    ("check sympow --samples 3", "check sympow takes no --samples"),
+    ("check cone --seed 1 --samples 2", "check cone takes no --seed, --samples"),
+    ("check ring --max-m 2", "check ring takes no --max-m"),
 ])
 def test_check_size_refusals_name_the_flag(capsys, argv, refusal):
     assert main(argv.split()) == 2
@@ -280,6 +288,16 @@ def test_check_seed_defaults_to_the_oracle_seed(capsys):
     assert main(["check", "ring", "--seed", str(oracle.DEFAULT_SEED), *sizes]) == 0
     assert capsys.readouterr().out == default
     assert f"seed={oracle.DEFAULT_SEED} " in default
+
+
+def test_check_ring_samples_default_is_the_sweeps(capsys):
+    # --samples left out keeps ring_sweep's own default, the one default
+    assert main("check ring --max-rank 2 --max-degree 1 --json".split()) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all("samples=50 " in check["detail"] for check in checks)
+    want = oracle.ring_sweep(max_rank=2, max_abs_degree=1).lines
+    assert checks == [{"name": line.name, "digest": line.digest, "passed": line.passed,
+                       "detail": line.detail} for line in want]
 
 
 def test_cli_import_leaves_the_oracle_unloaded():

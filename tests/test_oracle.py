@@ -14,7 +14,6 @@ from pbcones.cohomology import BundleContext, Convention, DivisorClass, top_powe
 from pbcones.bundles import SurfaceGenus, decomposable, sym_power
 from pbcones.cones import matching_bundle, restricted_ratio
 from pbcones.oracle import (
-    GridSpec,
     OracleGuardError,
     brute_ring_power,
     cone_sweep,
@@ -164,10 +163,9 @@ def test_sweep_summand_degree_guard(monkeypatch):
     with pytest.raises(OracleGuardError, match="enumerates 132939688 summand degrees"):
         sympow_sweep(max_rank=6, max_abs_degree=7, max_m=8)
     with pytest.raises(OracleGuardError, match="more than 1000000"):
-        cone_sweep(max_rank=6, max_abs_degree=7, grid=GridSpec(max_multisection=8))
-    # the cone sweep's power is its grid's multisection bound
+        cone_sweep(max_rank=6, max_abs_degree=7, max_m=8)
     with pytest.raises(OracleGuardError, match="summand degrees"):
-        cone_sweep(max_rank=2, max_abs_degree=3, grid=GridSpec(max_multisection=10**4))
+        cone_sweep(max_rank=2, max_abs_degree=3, max_m=10**4)
 
 
 def test_ring_sweep_class_count_guard():
@@ -191,7 +189,7 @@ def test_ring_sweep_class_count_guard():
     (sympow_sweep, dict(max_m=0)),
     (cone_sweep, dict(max_rank=0)),
     (cone_sweep, dict(max_abs_degree=-1)),
-    (cone_sweep, dict(grid=GridSpec(max_multisection=0))),
+    (cone_sweep, dict(max_m=0)),
 ])
 def test_sweeps_refuse_sizes_below_their_least(sweep, sizes):
     # Each size one below its least value would leave the sweep nothing to
@@ -208,10 +206,14 @@ def test_sample_cone_check_clean():
     assert "violations=0" in line
 
 
-def test_sample_cone_check_negative_control():
+def test_sample_cone_check_negative_control(monkeypatch):
     # closing the membership inequality admits boundary classes which pair
     # to zero with the extremal section
-    report = sample_cone_check(decomposable(0, 2), GridSpec(strict=False))
+    def closed_membership(u, b):
+        return u.x > 0 and min(b.degrees) * u.x + u.y >= 0
+
+    monkeypatch.setattr(oracle, "kahler_membership", closed_membership)
+    report = sample_cone_check(decomposable(0, 2))
     assert not report.all_passed
     assert "FAIL" in report.render()
 
