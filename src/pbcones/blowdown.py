@@ -37,6 +37,7 @@ from .cohomology import (
     BundleContext,
     Convention,
     DivisorClass,
+    _exact,
     forward_ratio,
     ratio,
 )
@@ -136,26 +137,31 @@ class ExceptionalDivisorData:
 
         With areas (a, b) the volume is 2ab, so the ratio with respect to
         the first ruling is 2b/a and the class is (a, b - a); a class given
-        with the areas must have that ratio.
+        with the areas must have that ratio.  Areas are ints or Fractions;
+        a float is refused.
         """
+        given_ratio = None
         if ruled_areas is not None:
             if (genus, alpha, fiber_rank) != (0, 2, 2):
                 raise ValueError("ruling areas only apply to the genus-0, alpha = 2, "
                                  "rank-2 divisor")
-            a, b = Fraction(ruled_areas[0]), Fraction(ruled_areas[1])
+            a = _exact("a ruling area", ruled_areas[0])
+            b = _exact("a ruling area", ruled_areas[1])
             if a <= 0 or b <= 0:
                 raise ValueError("ruling areas must be positive")
             if omega_xy is None:
                 omega_xy = (a, b - a)
+            else:
+                given_ratio = 2 * b / a
         elif omega_xy is None:
             raise ValueError("a surface-base divisor needs its class "
                              "(or, for the sphere product, its ruling areas)")
         ctx = BundleContext(fiber_rank, -alpha, Convention.SUB, SurfaceGenus(genus))
         d = cls(DivisorClass(omega_xy[0], omega_xy[1], ctx))
-        if ruled_areas is not None and d.rho != 2 * b / a:
+        if given_ratio is not None and d.rho != given_ratio:
             raise ValueError(
                 f"inconsistent data: the class ratio {d.rho} must "
-                f"equal 2*(second area)/(first area) = {2 * b / a}"
+                f"equal 2*(second area)/(first area) = {given_ratio}"
             )
         return d
 

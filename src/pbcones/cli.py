@@ -17,6 +17,7 @@ model (minus its degree), and only the presentation changes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -344,6 +345,9 @@ def cmd_check(args) -> CommandResult:
 # -------------------------------------------------------------- parser
 
 
+# Each parser is built once per process: building one costs far more than
+# a parse, and parse_args leaves nothing behind in the parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="one-line JSON output")
@@ -433,12 +437,17 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _spec_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--spec")
+    return pre
+
+
 def _expand_spec(argv: list[str]) -> list[str]:
     """Replace --spec FILE by the file's flags, placed before the first
     explicit flag so that explicit flags win wherever they appear."""
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    pre.add_argument("--spec")
-    known, rest = pre.parse_known_args(argv)
+    known, rest = _spec_parser().parse_known_args(argv)
     rest = _normalize_argv(rest)
     if known.spec is None:
         return rest

@@ -17,6 +17,11 @@ eta the unique integral class with <h, eta> = 0, <F, eta> = 1.  A class
 u = x*h + y*F pairs as <u, a*l + m*eta> = a*x + m*y, and on the forward
 cone {u^n > 0, <u, l> > 0} the scale-invariant ratio u^n / <u,l>^n
 equals e + n*y/x, which pins down the ray of u.
+
+Both the forward-cone test and the ratio are decided on one integer.
+For x = a/b and y = c/d (b, d > 0), lead = e*a*d + n*c*b gives
+e*x + n*y = lead/(b*d) and e + n*y/x = lead/(a*d), so u lies in the
+forward cone exactly when a > 0 and lead > 0.
 """
 
 from __future__ import annotations
@@ -47,6 +52,16 @@ __all__ = [
     "line_class",
     "eta_class",
 ]
+
+
+def _exact(what: str, value) -> Fraction:
+    """value as a Fraction; a float is refused, since its binary expansion
+    would stand in for the number that was meant."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise ValueError(f"{what} must be exact (an int or a Fraction), got the float {value!r}")
+    return Fraction(value)
 
 
 class ContextMismatchError(ValueError):
@@ -93,9 +108,9 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", Fraction(self.x))
+            object.__setattr__(self, "x", _exact("coordinate x", self.x))
         if not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", Fraction(self.y))
+            object.__setattr__(self, "y", _exact("coordinate y", self.y))
 
     def __str__(self) -> str:
         return f"{self.x}*{self.ctx.hyperplane_symbol} + {self.y}*F"
@@ -144,11 +159,22 @@ def pair(u: DivisorClass, z: CurveClass) -> Fraction:
     return z.l * u.x + z.eta * u.y
 
 
+def _lead(u: DivisorClass) -> int:
+    """e*a*d + n*c*b for x = a/b and y = c/d: the numerator of e*x + n*y
+    over b*d, and of the ratio e + n*y/x over a*d."""
+    x, y = u.x, u.y
+    return (u.ctx.top_coefficient * x.numerator * y.denominator
+            + u.ctx.rank * y.numerator * x.denominator)
+
+
 def in_forward_cone(u: DivisorClass) -> bool:
-    """Strict membership: u^n > 0 and <u, l> > 0."""
-    n = u.ctx.rank
-    e = u.ctx.top_coefficient
-    return u.x > 0 and e * u.x + n * u.y > 0
+    """Strict membership: u^n > 0 and <u, l> > 0.
+
+    With x = a/b, y = c/d and lead = e*a*d + n*c*b, u^n = x^(n-1)*lead/(b*d)
+    and <u, l> = x; both denominators are positive, so membership is
+    a > 0 and lead > 0.
+    """
+    return u.x.numerator > 0 and _lead(u) > 0
 
 
 @dataclass(frozen=True)
@@ -170,13 +196,17 @@ class RatioValue:
 
 
 def ratio(u: DivisorClass) -> RatioValue:
-    """Scale-invariant ray coordinate e + n*y/x, flagged when out of cone."""
-    inside = in_forward_cone(u)
-    if u.x == 0:
-        return RatioValue(None, inside)
-    n = u.ctx.rank
-    e = u.ctx.top_coefficient
-    return RatioValue(e + n * u.y / u.x, inside)
+    """Scale-invariant ray coordinate e + n*y/x, flagged when out of cone.
+
+    With x = a/b, y = c/d and lead = e*a*d + n*c*b the ratio is
+    lead/(a*d), and the class is in the forward cone when a > 0 and
+    lead > 0; x = 0 leaves the ratio undefined.
+    """
+    a = u.x.numerator
+    if a == 0:
+        return RatioValue(None, False)
+    lead = _lead(u)
+    return RatioValue(Fraction(lead, a * u.y.denominator), a > 0 and lead > 0)
 
 
 def forward_ratio(u: DivisorClass) -> Fraction:

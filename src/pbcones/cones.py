@@ -35,6 +35,7 @@ from .cohomology import (
     Convention,
     CurveClass,
     DivisorClass,
+    _exact,
     line_class,
     topological_residue,
 )
@@ -298,14 +299,16 @@ def kahler_class_for_ratio(alpha: int, n: int, genus: SurfaceGenus,
     alpha + n*(y/x) = rho0 with x = n * denominator(rho0) gives integer
     coordinates.  The class is Kahler exactly when rho0 exceeds the
     restricted-ratio infimum; at or below it NoSuchClassError is raised,
-    since the infimum is not attained.  n < 1 is a ValueError.
+    since the infimum is not attained.  n < 1 and a float rho0 are
+    ValueErrors.  rho0 - alpha keeps rho0's denominator, so y, its
+    numerator, is numerator(rho0) - alpha*denominator(rho0).
     """
-    rho0 = Fraction(rho0)
+    rho0 = _exact("the target ratio", rho0)
     infimum = _ratio_infimum(alpha, n, genus)
     if rho0 <= infimum:
         raise NoSuchClassError(
             f"no Kahler class restricts to ratio {rho0}: the infimum over "
             f"P(V + O) is {infimum} and is not attained"
         )
-    return DivisorClass(n * rho0.denominator, (rho0 - alpha).numerator,
+    return DivisorClass(n * rho0.denominator, rho0.numerator - alpha * rho0.denominator,
                         BundleContext(n + 1, alpha, Convention.QUOTIENT, genus))

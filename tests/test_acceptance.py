@@ -266,7 +266,7 @@ def test_certificate_soundness():
                 for genus in GENERA:
                     # classes exist only in the forward cone (ratio > 0)
                     floor = max(admissibility_bound(alpha, n, genus), 0)
-                    for delta in (Q(1, 3), 1, Q(9, 2)):
+                    for delta in (Q(1, 3), Q(1), Q(9, 2)):
                         rho = floor + delta
                         d = None
                         if genus.g == 0 and alpha == 2 and n == 2:

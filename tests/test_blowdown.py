@@ -61,9 +61,13 @@ def test_divisor_data_validation():
             divisor(genus, 2, None, n=n, areas=(1, 2))
     with pytest.raises(ValueError, match="must be positive"):
         ExceptionalDivisorData.from_ruled_areas(1, -1)
-    # inconsistent areas vs class ratio
+    # inconsistent areas vs class ratio, refused with the same text
+    # whichever ratio each side names
     with pytest.raises(ValueError, match="inconsistent"):
         divisor(0, 2, (1, 1), areas=(1, 3))
+    with pytest.raises(ValueError, match=r"^inconsistent data: the class ratio 7/2 must "
+                                         r"equal 2\*\(second area\)/\(first area\) = 9/2$"):
+        divisor(0, 2, (2, Q(3, 2)), areas=(2, Q(9, 2)))
     # consistent: areas (1,2) give ratio 4 = 2 + 2*(y/x) with class (1,1)
     d = divisor(0, 2, (1, 1), areas=(1, 2))
     assert forward_ratio(d.omega_class) == 4
@@ -97,6 +101,22 @@ def test_from_ruled_areas():
     assert forward_ratio(d.omega_class) == 4
     eq = ExceptionalDivisorData.from_ruled_areas(Q(3, 2), Q(3, 2))
     assert forward_ratio(eq.omega_class) == 2
+
+
+def test_float_areas_are_refused():
+    # 0.1 + 0.2 is not 3/10: taken as its binary fraction it would decide
+    # the first ruling, where the exact areas leave the verdict undetermined
+    exact = ExceptionalDivisorData.from_ruled_areas(Q(3, 10), Q(1, 10) + Q(2, 10))
+    assert blowdown_verdict_dim6(exact).kind is VerdictKind.UNDETERMINED
+    with pytest.raises(ValueError, match=r"^a ruling area must be exact \(an int or a "
+                                         r"Fraction\), got the float 0\.3$"):
+        ExceptionalDivisorData.from_ruled_areas(0.3, Q(3, 10))
+    with pytest.raises(ValueError, match=r"got the float 0\.30000000000000004$"):
+        ExceptionalDivisorData.from_ruled_areas(Q(3, 10), 0.1 + 0.2)
+    # a float class coordinate is refused by the class itself
+    with pytest.raises(ValueError, match=r"^coordinate y .* got the float 0\.5$"):
+        divisor(1, 0, (1, 0.5))
+    assert ExceptionalDivisorData.from_ruled_areas(1, 2).ruled_areas == (1, 2)
 
 
 positive_rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))

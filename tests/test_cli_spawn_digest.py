@@ -1,4 +1,5 @@
-"""The CLI's output over the benchmark's argv mix is pinned.
+"""The CLI's output over the benchmark's argv mix is pinned, also when the
+same process has answered other argv before.
 
 ``perfbench/cli_spawn.py`` draws its argv from a seed.  This test runs
 the argv of two seeds through the in-process ``main`` and compares, per
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from pbcones.cli import main
+from pbcones.cli import build_parser, main
+from test_cli import GOLDENS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,8 +47,8 @@ def _load(monkeypatch, name):
     return module
 
 
-@pytest.mark.skipif(not (PERFBENCH / "cli_spawn.py").is_file(), reason="perfbench/ is absent")
-def test_cli_output_digest_per_label(monkeypatch, tmp_path):
+def _digests(monkeypatch, tmp_path) -> dict[str, str]:
+    """Per-label sha256 of every exit code and stdout over the argv mix."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     _load(monkeypatch, "common")
@@ -65,4 +67,37 @@ def test_cli_output_digest_per_label(monkeypatch, tmp_path):
             text = out.getvalue()
             h = digests.setdefault(query.label, hashlib.sha256())
             h.update(f"{code}:{len(text)}:{text}".encode())
-    assert {label: h.hexdigest() for label, h in digests.items()} == PINNED
+    return {label: h.hexdigest() for label, h in digests.items()}
+
+
+needs_perfbench = pytest.mark.skipif(not (PERFBENCH / "cli_spawn.py").is_file(),
+                                     reason="perfbench/ is absent")
+
+
+@needs_perfbench
+def test_cli_output_digest_per_label(monkeypatch, tmp_path):
+    assert _digests(monkeypatch, tmp_path) == PINNED
+
+
+def _goldens_hold(capsys) -> None:
+    for argv, expected, code in GOLDENS:
+        assert main(argv.split()) == code, argv
+        assert capsys.readouterr().out == expected + "\n", argv
+
+
+@needs_perfbench
+def test_parsers_built_once_keep_no_state(capsys, monkeypatch, tmp_path):
+    # main reuses one parser per process; whatever ran before, in either
+    # order, the goldens and the argv mix give the same bytes.
+    _goldens_hold(capsys)
+    assert _digests(monkeypatch, tmp_path) == PINNED
+    _goldens_hold(capsys)
+    assert build_parser() is build_parser()
+    for refused in ("ring --rank 2 --deg 1 --class 1,x --json",   # UsageError
+                    "ring --rank 2 --class 1,0 --json",           # argparse: no --deg
+                    "--spec"):                                    # pre-parser: no FILE
+        assert main(refused.split()) == 2, refused
+        assert capsys.readouterr().out == "", refused
+        argv, expected, code = GOLDENS[0]
+        assert main(argv.split()) == code
+        assert capsys.readouterr().out == expected + "\n"

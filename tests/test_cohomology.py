@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbcones.bundles import SurfaceGenus
@@ -114,6 +114,42 @@ def test_ratio_convention_invariant(n, d, x, y):
 def test_ratio_twist_invariant(n, d, x, y, t):
     u = DivisorClass(x, y, ctx(n, d))
     assert ratio(u).value == ratio(twist_class(u, t)).value
+
+
+BIG = 10**12
+wide_fractions = st.one_of(st.just(Q(0)),
+                           st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.sampled_from(Convention), st.integers(-20, 20),
+       wide_fractions, wide_fractions, st.booleans())
+@example(2, Convention.QUOTIENT, 3, Q(1, 3), Q(5, 7), False)  # x and y denominators differ
+@example(3, Convention.SUB, 4, Q(0), Q(5, 2), False)          # x = 0, y > 0
+@example(2, Convention.QUOTIENT, 2, Q(-1), Q(5), False)       # x < 0, e*x + n*y > 0
+@example(4, Convention.QUOTIENT, 6, Q(2, 9), Q(0), True)      # e*x + n*y = 0
+def test_forward_cone_and_ratio_are_the_fraction_rule(n, conv, d, x, y, on_boundary):
+    # the integer forms against the rule in Fractions, with e read off
+    # the convention here
+    e = d if conv is Convention.QUOTIENT else -d
+    if on_boundary:
+        y = -e * x / n
+    u = DivisorClass(x, y, ctx(n, d, conv))
+    inside = x > 0 and e * x + n * y > 0
+    assert in_forward_cone(u) == inside
+    r = ratio(u)
+    assert r.in_forward_cone == inside
+    assert r.value == (None if x == 0 else e + n * y / x)
+
+
+def test_float_coordinates_are_refused():
+    # a float's binary expansion is not the number that was meant
+    with pytest.raises(ValueError, match=r"^coordinate x must be exact \(an int or a "
+                                         r"Fraction\), got the float 0\.5$"):
+        DivisorClass(0.5, 1, ctx(2, 1))
+    with pytest.raises(ValueError, match=r"^coordinate y .* 0\.30000000000000004$"):
+        DivisorClass(1, 0.1 + 0.2, ctx(2, 1))
+    assert DivisorClass(1, Q(3, 10), ctx(2, 1)).y == Q(3, 10)
 
 
 def test_eta_positive_forces_ratio_above_degree():

@@ -316,6 +316,25 @@ def test_kahler_class_for_ratio_fractional():
     assert kahler_membership(u, plus_trivial_line(v))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-20, 20), st.integers(1, 12), st.sampled_from((G0, G1, G2)),
+       st.one_of(st.integers(1, 10**12),
+                 st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12))))
+def test_kahler_class_for_ratio_y_is_the_shifted_numerator(alpha, n, g, excess):
+    # an int excess keeps rho0 an int, the other form the function takes
+    rho0 = max(0, admissibility_bound(alpha, n, g)) + excess
+    u = kahler_class_for_ratio(alpha, n, g, rho0)
+    assert (u.x, u.y) == (n * Q(rho0).denominator, (rho0 - alpha).numerator)
+    assert forward_ratio(restrict_to_divisor(u)) == rho0
+
+
+def test_kahler_class_for_ratio_refuses_a_float():
+    with pytest.raises(ValueError, match=r"^the target ratio must be exact \(an int or a "
+                                         r"Fraction\), got the float 2\.5$"):
+        kahler_class_for_ratio(-1, 2, G0, 2.5)
+    assert kahler_class_for_ratio(-1, 2, G0, Q(5, 2)).y == 7
+
+
 def test_rank_below_one_is_refused():
     # refused before any division by n, and without building a bundle:
     # positive genus would otherwise give a bound, and a class with x = 0
