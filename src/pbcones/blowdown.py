@@ -22,7 +22,9 @@ rational data:
 Dimension six adds one genuinely two-sided case: a product of two
 spheres with alpha = 2 carries two rulings of normal degree -1, and the
 verdict picks the ruling of smaller area, refusing to decide when both
-areas agree (ratio exactly 2 on both rulings).
+areas agree (ratio exactly 2 on both rulings).  For class (x, y) the
+areas are (x, x + y): the first ruling iff y > 0, undetermined iff
+y = 0; the other ruling's class is (x + y, -y).
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class ExceptionalDivisorData:
                                  "rank-2 divisor")
             a = _exact("a ruling area", ruled_areas[0])
             b = _exact("a ruling area", ruled_areas[1])
-            if a <= 0 or b <= 0:
+            if a.numerator <= 0 or b.numerator <= 0:
                 raise ValueError("ruling areas must be positive")
             if omega_xy is None:
                 omega_xy = (a, b - a)
@@ -176,7 +178,9 @@ def is_admissible(d: ExceptionalDivisorData) -> bool:
     if d.is_point_base:
         raise ValueError("admissibility is a surface-base notion; a plane divisor "
                          "of normal degree -1 blows down unconditionally")
-    return d.rho > admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
+    rho = d.rho
+    bound = admissibility_bound(d.alpha, d.fiber_rank, d.base_genus)
+    return rho.numerator > bound * rho.denominator
 
 
 @dataclass(frozen=True)
@@ -250,11 +254,15 @@ class BlowdownVerdict:
 
 
 def refibred_along_second_ruling(d: ExceptionalDivisorData) -> ExceptionalDivisorData:
-    """The same sphere-product divisor, fibred by its other ruling."""
+    """The same sphere-product divisor, fibred by its other ruling.
+
+    Class (x, y) has areas (x, x + y); swapping them gives the other
+    ruling's class (x + y, -y), the divisor from_ruled_areas(x + y, x).
+    """
     if not d.is_double_ruling_case:
         raise ValueError("only the genus-0, alpha = 2, rank-2 divisor has two rulings")
-    x, y = d.ruled_areas
-    return ExceptionalDivisorData.from_ruled_areas(y, x)
+    u = d.omega_class
+    return ExceptionalDivisorData(DivisorClass(u.x + u.y, -u.y, u.ctx))
 
 
 def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
@@ -266,7 +274,9 @@ def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
     areas: the smaller-area ruling is blown down (its ratio exceeds 2),
     and equal areas leave the question undetermined because neither ruling
     clears the bound and perturbing the areas apart would need ambient
-    rulings that are not cohomologous.
+    rulings that are not cohomologous.  For class (x, y) the areas are
+    (x, x + y): the first ruling iff y > 0, undetermined iff y = 0; the
+    other ruling's class is (x + y, -y).
     """
     if d.is_point_base:
         return BlowdownVerdict(VerdictKind.ALWAYS_BLOWDOWN)
@@ -275,18 +285,18 @@ def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
                          "(fiber rank 2)")
     ruling, effective, reason = None, d, ""
     if d.is_double_ruling_case:
-        x, y = d.ruled_areas
-        if x == y:
+        s = d.omega_class.y.numerator  # the sign of (x + y) - x
+        if s > 0:
+            ruling = Ruling.FIRST
+        elif s < 0:
+            ruling, effective = Ruling.SECOND, refibred_along_second_ruling(d)
+        else:
             return BlowdownVerdict(
                 VerdictKind.UNDETERMINED,
                 reason=("ratio = 2 with respect to both rulings; the criterion is "
                         "silent, and separating the areas by a perturbation would "
                         "require ambient rulings that are not cohomologous"),
             )
-        if x < y:
-            ruling = Ruling.FIRST
-        else:
-            ruling, effective = Ruling.SECOND, refibred_along_second_ruling(d)
         reason = f"blowing down the {ruling.value} ruling (smaller area)"
     try:
         certificate = build_matching_triple(effective)

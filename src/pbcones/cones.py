@@ -133,8 +133,9 @@ def plus_trivial_line(b: BundleSpec) -> AmbientBundle:
     return SemistablePlusLine(b)
 
 
-def _kahler_slope(b: BundleSpec | SemistablePlusLine) -> Fraction:
-    """The boundary slope s of the Kahler cone {x > 0, s*x + y > 0}.
+def _kahler_slope(b: BundleSpec | SemistablePlusLine) -> tuple[int, int]:
+    """The boundary slope s = p/q (q > 0) of the Kahler cone
+    {x > 0, s*x + y > 0}, as the integer pair (p, q).
 
     Decomposable: the minimal summand degree a_1, the degree of the
     extremal section.  Semistable: the slope, which over genus 0 is the
@@ -144,16 +145,16 @@ def _kahler_slope(b: BundleSpec | SemistablePlusLine) -> Fraction:
     Kahler classes; the exact boundary is not claimed.
     """
     if isinstance(b, Decomposable):
-        return Fraction(min(b.degrees))
+        return min(b.degrees), 1
     if isinstance(b, SemiStable):
-        return slope(b)
-    s = slope(b.semistable)
-    if s > 0:
+        return b.degree, b.rank
+    v = b.semistable
+    if v.degree > 0:
         raise ValueError(
             "Kahler cone unknown: the trivial summand's slope is below the "
             "semistable slope"
         )
-    return s
+    return v.degree, v.rank
 
 
 def kahler_cone(b: BundleSpec | SemistablePlusLine) -> ConeDescription:
@@ -174,7 +175,7 @@ def kahler_cone(b: BundleSpec | SemistablePlusLine) -> ConeDescription:
     Semistable plus a line: a half-plane of Kahler classes, not the whole
     Kahler cone, marked SUFFICIENT_ONLY.
     """
-    s, ctx = _kahler_slope(b), bundle_context(b)
+    s, ctx = Fraction(*_kahler_slope(b)), bundle_context(b)
     if isinstance(b, SemistablePlusLine):
         return ConeDescription((line_class(ctx),), Exactness.SUFFICIENT_ONLY, s)
     if isinstance(b, SemiStable) and b.base.g > 0:
@@ -199,12 +200,12 @@ def kahler_membership(u: DivisorClass, b: BundleSpec | SemistablePlusLine) -> bo
             f"genus {ctx.genus.g}) does not match the bundle "
             f"(rank {want.rank}, degree {want.degree}, genus {want.genus.g})"
         )
-    s = _kahler_slope(b)  # an unknown cone raises whatever u is
-    # x > 0 and s*x + y > 0, decided on numerators over the common
-    # denominator: every denominator of a Fraction is positive.
+    p, q = _kahler_slope(b)  # an unknown cone raises whatever u is
+    # For x = a/b and y = c/d, s*x + y = (p*a*d + q*c*b)/(q*b*d) with every
+    # denominator positive, so membership is a > 0 and p*a*d + q*c*b > 0.
     x, y = u.x, u.y
-    return x.numerator > 0 and (s.numerator * x.numerator * y.denominator
-                                + y.numerator * s.denominator * x.denominator) > 0
+    a = x.numerator
+    return a > 0 and p * a * y.denominator + q * y.numerator * x.denominator > 0
 
 
 def kahler_cone_ratio(b: BundleSpec) -> Fraction:
@@ -218,7 +219,7 @@ def kahler_cone_ratio(b: BundleSpec) -> Fraction:
     if isinstance(b, SemistablePlusLine):
         raise ValueError("Kahler cone ratio needs the exact cone; a semistable-plus-line "
                          "sum has a sufficient half-plane only")
-    return rank(b) * (slope(b) - _kahler_slope(b))
+    return rank(b) * (slope(b) - Fraction(*_kahler_slope(b)))
 
 
 def matching_bundle(alpha: int, n: int, genus: SurfaceGenus) -> BundleSpec:
@@ -305,7 +306,7 @@ def kahler_class_for_ratio(alpha: int, n: int, genus: SurfaceGenus,
     """
     rho0 = _exact("the target ratio", rho0)
     infimum = _ratio_infimum(alpha, n, genus)
-    if rho0 <= infimum:
+    if rho0.numerator <= infimum * rho0.denominator:
         raise NoSuchClassError(
             f"no Kahler class restricts to ratio {rho0}: the infimum over "
             f"P(V + O) is {infimum} and is not attained"

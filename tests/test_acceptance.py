@@ -273,7 +273,8 @@ def test_certificate_soundness():
                             d = divisor(genus.g, alpha, (1, (rho - alpha) / 2),
                                         n=n, areas=(1, rho / 2))
                         else:
-                            d = divisor(genus.g, alpha, (1, (rho - alpha) / 2), n=n)
+                            d = divisor(genus.g, alpha, (1, (rho - alpha) / n), n=n)
+                        assert d.rho == rho
                         assert is_admissible(d)
                         cert = build_matching_triple(d)
                         assert validate_certificate(cert, d)

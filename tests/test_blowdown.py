@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +62,10 @@ def test_divisor_data_validation():
             divisor(genus, 2, None, n=n, areas=(1, 2))
     with pytest.raises(ValueError, match="must be positive"):
         ExceptionalDivisorData.from_ruled_areas(1, -1)
+    for bad in (0, Q(0), Q(-1, 3)):
+        for areas in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="^ruling areas must be positive$"):
+                ExceptionalDivisorData.from_ruled_areas(*areas)
     # inconsistent areas vs class ratio, refused with the same text
     # whichever ratio each side names
     with pytest.raises(ValueError, match="inconsistent"):
@@ -147,6 +152,20 @@ def test_admissibility_examples():
     # positive genus, alpha <= 0: every forward-cone class is admissible
     assert is_admissible(divisor(1, -1, (1, Q(3, 5))))  # ratio 1/5 > -1
     assert is_admissible(divisor(2, 0, (5, Q(1, 7))))
+    # strict at the bound, and 10^-12 above it clears it, for bounds
+    # below, at and above 0; no forward-cone class has a ratio at or below
+    # 0, so a stand-in record carrying the ratio drives the comparison
+    # there, and a real divisor does wherever one exists
+    eps = Q(1, 10**12)
+    for g, alpha, n, bound in ((1, -1, 2, -1), (1, 0, 3, 0), (2, 3, 2, 3),
+                               (0, -2, 2, 0), (0, -1, 2, 1), (0, 3, 3, 3)):
+        assert admissibility_bound(alpha, n, SurfaceGenus(g)) == bound
+        for rho, want in ((Q(bound), False), (bound + eps, True)):
+            stand_in = SimpleNamespace(is_point_base=False, rho=rho, alpha=alpha,
+                                       fiber_rank=n, base_genus=SurfaceGenus(g))
+            assert is_admissible(stand_in) is want, (g, alpha, n, rho)
+            if rho > 0:
+                assert is_admissible(divisor(g, alpha, (1, (rho - alpha) / n), n=n)) is want
 
 
 def test_admissibility_bound_table():
@@ -324,21 +343,56 @@ def test_sphere_product_class_decides_as_its_areas():
         for y in (Q(-1, 4) * x, Q(-1, 7), Q(0), Q(1, 2), Q(3), Q(-5, 6)):
             if x + y <= 0:
                 continue
-            by_class = blowdown_verdict_dim6(divisor(0, 2, (x, y)))
+            d = divisor(0, 2, (x, y))
+            by_class = blowdown_verdict_dim6(d)
             by_areas = blowdown_verdict_dim6(ExceptionalDivisorData.from_ruled_areas(x, x + y))
             assert by_class == by_areas, (x, y)
+            # the ruling is the sign of y, and the other ruling's class is
+            # (x + y, -y)
+            assert by_class.chosen_ruling is (Ruling.FIRST if y > 0 else
+                                              Ruling.SECOND if y < 0 else None)
+            assert refibred_along_second_ruling(d) == divisor(0, 2, (x + y, -y))
             seen.add(by_class.chosen_ruling)
     assert seen == {Ruling.FIRST, Ruling.SECOND, None}
 
 
-def test_second_ruling_refibration():
-    d = ExceptionalDivisorData.from_ruled_areas(2, 1)
+positive_areas = st.one_of(st.integers(1, 10**6), positive_rationals)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(positive_areas, positive_areas, st.booleans())
+@example(2, 1, False)
+@example(1, 2, False)
+@example(Q(3, 2), Q(3, 2), False)
+@example(Q(10**12 + 1, 10**12), 1, False)
+def test_second_ruling_refibration(a, b, equal):
+    # equal draws b = a, so equal areas come up at every size
+    if equal:
+        b = a
+    d = ExceptionalDivisorData.from_ruled_areas(a, b)
     r = refibred_along_second_ruling(d)
-    assert r.ruled_areas == (1, 2)
-    assert forward_ratio(r.omega_class) == 4
+    assert r == ExceptionalDivisorData.from_ruled_areas(b, a)
+    assert r.ruled_areas == (b, a)
+    assert forward_ratio(r.omega_class) == 2 * Q(a) / b
     v = blowdown_verdict_dim6(d)
-    assert validate_certificate(v.certificate, r)
-    with pytest.raises(ValueError):
+    if a < b:
+        assert (v.kind, v.chosen_ruling) == (VerdictKind.BLOWDOWN_UP_TO_DEFORMATION,
+                                             Ruling.FIRST)
+        certified = d
+    elif a > b:
+        assert (v.kind, v.chosen_ruling) == (VerdictKind.BLOWDOWN_UP_TO_DEFORMATION,
+                                             Ruling.SECOND)
+        certified = r
+    else:
+        assert (v.kind, v.chosen_ruling, v.certificate) == (VerdictKind.UNDETERMINED,
+                                                            None, None)
+        certified = None
+    if certified is not None:
+        # the certificate validates against the divisor it certifies: the
+        # ruling blown down, whose ratio 2*(larger area)/(smaller) exceeds 2
+        assert validate_certificate(v.certificate, certified)
+        assert v.certificate.restricted_ratio == certified.rho == 2 * Q(max(a, b)) / min(a, b)
+    with pytest.raises(ValueError, match="only the genus-0, alpha = 2, rank-2 divisor"):
         refibred_along_second_ruling(divisor(1, -1, (1, 1)))
 
 

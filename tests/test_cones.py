@@ -306,6 +306,20 @@ def test_kahler_class_for_ratio_examples():
 
     with pytest.raises(NoSuchClassError):
         kahler_class_for_ratio(-1, 2, G0, 1)
+    # refused exactly at the infimum, as an int or a Fraction, and
+    # answered 10^-12 above it, for infima 0, 1 and 5
+    for alpha, n, g, infimum in ((-3, 2, G1, 0), (-1, 2, G0, 1), (5, 2, G0, 5)):
+        assert restricted_ratio(alpha, n, g).value == infimum
+        for at in (infimum, Q(infimum)):
+            with pytest.raises(NoSuchClassError,
+                               match=f"^no Kahler class restricts to ratio {infimum}: the "
+                                     f"infimum over P\\(V \\+ O\\) is {infimum} and is not "
+                                     f"attained$"):
+                kahler_class_for_ratio(alpha, n, g, at)
+        above = infimum + Q(1, 10**12)
+        u = kahler_class_for_ratio(alpha, n, g, above)
+        assert forward_ratio(restrict_to_divisor(u)) == above
+        assert kahler_membership(u, plus_trivial_line(matching_bundle(alpha, n, g)))
 
 
 def test_kahler_class_for_ratio_fractional():
