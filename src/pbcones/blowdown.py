@@ -29,12 +29,12 @@ y = 0; the other ruling's class is (x + y, -y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import ClassVar
 
-from .bundles import BundleSpec, SurfaceGenus, degree, rank
+from .bundles import BundleSpec, SurfaceGenus, _Record, _setattr, degree, rank
 from .cohomology import (
     BundleContext,
     Convention,
@@ -75,8 +75,7 @@ class NotAdmissibleError(ValueError):
     """The divisor's ratio does not clear the admissibility bound."""
 
 
-@dataclass(frozen=True)
-class ExceptionalDivisorData:
+class ExceptionalDivisorData(_Record):
     """A fibred divisor candidate for blowing down.
 
     omega_class is the class of the restricted symplectic form, in the sub
@@ -87,25 +86,24 @@ class ExceptionalDivisorData:
     are None over a point; so are the ruling areas of the sphere product.
     """
 
-    omega_class: DivisorClass | None
-    base_genus: SurfaceGenus | None = field(init=False)
-    fiber_rank: int | None = field(init=False)
-    alpha: int | None = field(init=False)
-    rho: Fraction | None = field(init=False)
+    __slots__ = ("omega_class", "base_genus", "fiber_rank", "alpha", "rho")
 
-    def __post_init__(self) -> None:
-        u = self.omega_class
-        derived = (None, None, None, None)
-        if u is not None:
-            if u.ctx.convention is not Convention.SUB:
+    def __init__(self, omega_class: DivisorClass | None) -> None:
+        genus = n = alpha = rho = None
+        if omega_class is not None:
+            ctx = omega_class.ctx
+            if ctx.convention is not Convention.SUB:
                 raise ValueError(f"the symplectic class must live in the sub convention, "
-                                 f"got {u.ctx}")
-            r = ratio(u)
+                                 f"got {ctx}")
+            r = ratio(omega_class)
             if not r.in_forward_cone:
                 raise ValueError("the restricted symplectic class must lie in the forward cone")
-            derived = (u.ctx.genus, u.ctx.rank, -u.ctx.degree, r.value)
-        for name, value in zip(("base_genus", "fiber_rank", "alpha", "rho"), derived):
-            object.__setattr__(self, name, value)
+            genus, n, alpha, rho = ctx.genus, ctx.rank, -ctx.degree, r.value
+        _setattr(self, "omega_class", omega_class)
+        _setattr(self, "base_genus", genus)
+        _setattr(self, "fiber_rank", n)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "rho", rho)
 
     @property
     def is_point_base(self) -> bool:
@@ -245,12 +243,15 @@ class Ruling(str, Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
-class BlowdownVerdict:
-    kind: VerdictKind
-    certificate: MatchingTripleCertificate | None = None
-    chosen_ruling: Ruling | None = None
-    reason: str = ""
+class BlowdownVerdict(_Record):
+    __slots__ = ("kind", "certificate", "chosen_ruling", "reason")
+
+    def __init__(self, kind: VerdictKind, certificate: MatchingTripleCertificate | None = None,
+                 chosen_ruling: Ruling | None = None, reason: str = "") -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "certificate", certificate)
+        _setattr(self, "chosen_ruling", chosen_ruling)
+        _setattr(self, "reason", reason)
 
 
 def refibred_along_second_ruling(d: ExceptionalDivisorData) -> ExceptionalDivisorData:
@@ -310,9 +311,11 @@ def blowdown_verdict_dim6(d: ExceptionalDivisorData) -> BlowdownVerdict:
     )
 
 
-@dataclass(frozen=True)
-class CertificateValidation:
-    failures: tuple[str, ...]
+class CertificateValidation(_Record):
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: tuple[str, ...]) -> None:
+        _setattr(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ All arithmetic is exact: degrees are integers, slopes are fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Union
@@ -42,48 +41,84 @@ __all__ = [
 _MAX_SYM_SUMMANDS = 10**6
 
 
-@dataclass(frozen=True)
-class SurfaceGenus:
+class _Record:
+    """Base of the package's immutable records.  Each names its fields in
+    __slots__ and sets them once, in its __init__, through _setattr.  As on
+    a frozen dataclass, the fields in slot order give the equality (same
+    type, equal fields), hash, repr, copy and pickle."""
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _setattr(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_setattr = object.__setattr__  # sets a record's field past _Record.__setattr__
+
+
+class SurfaceGenus(_Record):
     """Genus of the closed oriented base surface."""
 
-    g: int
+    __slots__ = ("g",)
 
-    def __post_init__(self) -> None:
-        if self.g < 0:
-            raise ValueError(f"genus must be non-negative, got {self.g}")
+    def __init__(self, g: int) -> None:
+        if g < 0:
+            raise ValueError(f"genus must be non-negative, got {g}")
+        _setattr(self, "g", g)
 
 
-@dataclass(frozen=True)
-class Decomposable:
+class Decomposable(_Record):
     """A direct sum of line bundles, stored as a sorted degree multiset."""
 
-    degrees: tuple[int, ...]
-    base: SurfaceGenus
+    __slots__ = ("degrees", "base")
 
-    def __post_init__(self) -> None:
-        if not self.degrees:
+    def __init__(self, degrees: tuple[int, ...], base: SurfaceGenus) -> None:
+        if not degrees:
             raise ValueError("a decomposable bundle needs at least one summand")
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+        _setattr(self, "degrees", tuple(sorted(degrees)))
+        _setattr(self, "base", base)
 
 
-@dataclass(frozen=True)
-class SemiStable:
+class SemiStable(_Record):
     """A semistable bundle known only through its rank and degree.
 
     The summand structure is deliberately opaque; operations that need
     line-bundle summands reject this variant.
     """
 
-    rank: int
-    degree: int
-    base: SurfaceGenus
+    __slots__ = ("rank", "degree", "base")
 
-    def __post_init__(self) -> None:
-        if not semistable_exists(self.base, self.rank, self.degree):
+    def __init__(self, rank: int, degree: int, base: SurfaceGenus) -> None:
+        if not semistable_exists(base, rank, degree):
             raise ValueError(
                 "over genus 0 every bundle splits; a semistable bundle of rank "
-                f"{self.rank} and degree {self.degree} does not exist"
+                f"{rank} and degree {degree} does not exist"
             )
+        _setattr(self, "rank", rank)
+        _setattr(self, "degree", degree)
+        _setattr(self, "base", base)
 
 
 BundleSpec = Union[Decomposable, SemiStable]

@@ -26,11 +26,10 @@ forward cone exactly when a > 0 and lead > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bundles import SurfaceGenus
+from .bundles import SurfaceGenus, _Record, _setattr
 
 __all__ = [
     "Convention",
@@ -73,18 +72,19 @@ class Convention(str, Enum):
     SUB = "sub"
 
 
-@dataclass(frozen=True)
-class BundleContext:
+class BundleContext(_Record):
     """Rank, degree and convention of the modeling bundle, plus base genus."""
 
-    rank: int
-    degree: int
-    convention: Convention = Convention.QUOTIENT
-    genus: SurfaceGenus = SurfaceGenus(0)
+    __slots__ = ("rank", "degree", "convention", "genus")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+    def __init__(self, rank: int, degree: int, convention: Convention = Convention.QUOTIENT,
+                 genus: SurfaceGenus = SurfaceGenus(0)) -> None:
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        _setattr(self, "rank", rank)
+        _setattr(self, "degree", degree)
+        _setattr(self, "convention", convention)
+        _setattr(self, "genus", genus)
 
     @property
     def top_coefficient(self) -> int:
@@ -98,31 +98,29 @@ class BundleContext:
         return "xi" if self.convention is Convention.QUOTIENT else "tau"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Record):
     """x * (hyperplane class) + y * (fiber class) with exact coefficients."""
 
-    x: Fraction
-    y: Fraction
-    ctx: BundleContext
+    __slots__ = ("x", "y", "ctx")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", _exact("coordinate x", self.x))
-        if not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", _exact("coordinate y", self.y))
+    def __init__(self, x: Fraction, y: Fraction, ctx: BundleContext) -> None:
+        _setattr(self, "x", x if isinstance(x, Fraction) else _exact("coordinate x", x))
+        _setattr(self, "y", y if isinstance(y, Fraction) else _exact("coordinate y", y))
+        _setattr(self, "ctx", ctx)
 
     def __str__(self) -> str:
         return f"{self.x}*{self.ctx.hyperplane_symbol} + {self.y}*F"
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_Record):
     """l * (fiber line class) + eta * (section class) in degree-2 homology."""
 
-    l: int
-    eta: int
-    ctx: BundleContext
+    __slots__ = ("l", "eta", "ctx")
+
+    def __init__(self, l: int, eta: int, ctx: BundleContext) -> None:
+        _setattr(self, "l", l)
+        _setattr(self, "eta", eta)
+        _setattr(self, "ctx", ctx)
 
     def __str__(self) -> str:
         terms = []
@@ -177,8 +175,7 @@ def in_forward_cone(u: DivisorClass) -> bool:
     return u.x.numerator > 0 and _lead(u) > 0
 
 
-@dataclass(frozen=True)
-class RatioValue:
+class RatioValue(_Record):
     """The ratio u^n / <u,l>^n together with forward-cone membership.
 
     Outside the forward cone the number still identifies the ray when
@@ -186,8 +183,11 @@ class RatioValue:
     <u, l> = 0 the value is undefined and stored as None.
     """
 
-    value: Fraction | None
-    in_forward_cone: bool
+    __slots__ = ("value", "in_forward_cone")
+
+    def __init__(self, value: Fraction | None, in_forward_cone: bool) -> None:
+        _setattr(self, "value", value)
+        _setattr(self, "in_forward_cone", in_forward_cone)
 
     def require(self) -> Fraction:
         if not self.in_forward_cone or self.value is None:

@@ -16,7 +16,6 @@ bundles realize it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -26,6 +25,8 @@ from .bundles import (
     Decomposable,
     SemiStable,
     SurfaceGenus,
+    _Record,
+    _setattr,
     degree,
     rank,
     slope,
@@ -70,8 +71,7 @@ class Exactness(str, Enum):
     SUFFICIENT_ONLY = "sufficient-only"
 
 
-@dataclass(frozen=True)
-class ConeDescription:
+class ConeDescription(_Record):
     """A cone cut out by x > 0 and boundary_slope * x + y > 0.
 
     For curve cones the extremal rays are listed; the same inequality pair
@@ -80,13 +80,16 @@ class ConeDescription:
     established.
     """
 
-    rays: tuple[CurveClass, ...]
-    exactness: Exactness
-    boundary_slope: Fraction
+    __slots__ = ("rays", "exactness", "boundary_slope")
+
+    def __init__(self, rays: tuple[CurveClass, ...], exactness: Exactness,
+                 boundary_slope: Fraction) -> None:
+        _setattr(self, "rays", rays)
+        _setattr(self, "exactness", exactness)
+        _setattr(self, "boundary_slope", boundary_slope)
 
 
-@dataclass(frozen=True)
-class SemistablePlusLine:
+class SemistablePlusLine(_Record):
     """V + O for an opaque semistable bundle V and the trivial line bundle O.
 
     The total space of the model triple P(V + O) when V is semistable: the
@@ -94,7 +97,10 @@ class SemistablePlusLine:
     cone has a known sufficient half-plane as long as slope(V) <= 0.
     """
 
-    semistable: SemiStable
+    __slots__ = ("semistable",)
+
+    def __init__(self, semistable: SemiStable) -> None:
+        _setattr(self, "semistable", semistable)
 
     @property
     def base(self) -> SurfaceGenus:
@@ -253,13 +259,15 @@ def _ratio_infimum(alpha: int, n: int, genus: SurfaceGenus) -> int:
     return max(0, admissibility_bound(alpha, n, genus))
 
 
-@dataclass(frozen=True)
-class RestrictedRatioResult:
+class RestrictedRatioResult(_Record):
     """Infimum of restriction ratios over ambient Kahler classes on P(V + O);
     the infimum is never attained."""
 
-    value: Fraction
-    achieving_bundle: BundleSpec
+    __slots__ = ("value", "achieving_bundle")
+
+    def __init__(self, value: Fraction, achieving_bundle: BundleSpec) -> None:
+        _setattr(self, "value", value)
+        _setattr(self, "achieving_bundle", achieving_bundle)
 
 
 def restricted_ratio(alpha: int, n: int, genus: SurfaceGenus) -> RestrictedRatioResult:

@@ -17,11 +17,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .bundles import Decomposable, SurfaceGenus, sym_power, sym_rank_degree
+from .bundles import Decomposable, SurfaceGenus, _Record, _setattr, sym_power, sym_rank_degree
 from .cohomology import BundleContext, Convention, DivisorClass, top_power
 from .cones import bundle_context, kahler_membership
 
@@ -60,21 +59,26 @@ class OracleGuardError(ValueError):
         self.size = size
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    name: str
-    digest: str
-    passed: bool
-    detail: str
+class CheckLine(_Record):
+    __slots__ = ("name", "digest", "passed", "detail")
+
+    def __init__(self, name: str, digest: str, passed: bool, detail: str) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "digest", digest)
+        _setattr(self, "passed", passed)
+        _setattr(self, "detail", detail)
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"CHECK {self.name} {self.digest} {status} {self.detail}"
 
 
-@dataclass
-class CheckReport:
-    lines: list[CheckLine] = field(default_factory=list)
+class CheckReport(_Record):
+    __slots__ = ("lines",)
+    __hash__ = None  # its lines are a list, which add and extend grow
+
+    def __init__(self, lines: list[CheckLine] | None = None) -> None:
+        _setattr(self, "lines", [] if lines is None else lines)
 
     @property
     def all_passed(self) -> bool:

@@ -95,9 +95,9 @@ def test_derived_fields_read_off_the_class():
                     assert d.rho == rho == forward_ratio(d.omega_class)
     d = divisor(1, -1, (1, Q(3, 5)))
     other = DivisorClass(2, 7, BundleContext(3, -4, Convention.SUB, SurfaceGenus(2)))
-    e = replace(d, omega_class=other)
+    e = ExceptionalDivisorData(other)
     assert (e.base_genus, e.fiber_rank, e.alpha, e.rho) == (SurfaceGenus(2), 3, 4, Q(29, 2))
-    assert replace(d, omega_class=None).rho is None
+    assert ExceptionalDivisorData(None).rho is None
 
 
 def test_from_ruled_areas():
