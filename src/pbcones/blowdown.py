@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar
 
 from .bundles import BundleSpec, SurfaceGenus, _Record, _setattr, degree, rank
 from .cohomology import (
@@ -200,7 +199,7 @@ class MatchingTripleCertificate:
     kahler_class: DivisorClass
     restricted_ratio: Fraction
     s1_invariant: bool = True
-    weak: ClassVar[bool] = True
+    weak = True
 
     @property
     def ambient_bundle(self) -> AmbientBundle:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Union
 
 __all__ = [
     "SurfaceGenus",
@@ -121,7 +120,7 @@ class SemiStable(_Record):
         _setattr(self, "base", base)
 
 
-BundleSpec = Union[Decomposable, SemiStable]
+BundleSpec = Decomposable | SemiStable
 
 
 def decomposable(*degrees: int, genus: int = 0) -> Decomposable:

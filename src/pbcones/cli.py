@@ -43,6 +43,7 @@ from .cohomology import (
     BundleContext,
     Convention,
     DivisorClass,
+    _half_plane,
     eta_class,
     line_class,
     pair,
@@ -106,10 +107,7 @@ def _parse_pair(text: str, what: str, parse=_parse_rational) -> tuple:
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p != ""]
-    if not parts:
-        raise UsageError("empty degree list")
-    return tuple(_parse_int(p) for p in parts)
+    return tuple(_parse_int(p) for p in text.split(","))
 
 
 def _class_json(x: Fraction, y: Fraction) -> dict:
@@ -132,13 +130,13 @@ def cmd_ring(args) -> CommandResult:
     ctx_degree = args.deg if conv is Convention.QUOTIENT else -args.deg
     ctx = BundleContext(args.rank, ctx_degree, conv, SurfaceGenus(args.genus))
     x, y = _parse_pair(args.class_xy, "--class")
-    # For x = a/b and y = c/d, u^n = a^(n-1)*(e*a*d + n*c*b) / (b^n*d) and the
-    # ratio is (e*a*d + n*c*b) / (a*d).  Refuse, before computing them, parts
-    # whose bit lengths could mean more digits than an int may print
-    # (0.30103 exceeds log10 2).
-    n, e = args.rank, ctx.top_coefficient
-    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
-    bits = max((n - 1) * a.bit_length() + (e * a * d + n * c * b).bit_length(),
+    # For x = a/b and y = c/d, u^n is a^(n-1) times the half-plane numerator
+    # over b^n*d, and the ratio is that numerator over a*d.  Refuse, before
+    # computing them, parts whose bit lengths could mean more digits than an
+    # int may print (0.30103 exceeds log10 2).
+    n = args.rank
+    a, b, d = x.numerator, x.denominator, y.denominator
+    bits = max((n - 1) * a.bit_length() + _half_plane(x, y, ctx.top_coefficient, n).bit_length(),
                n * b.bit_length() + d.bit_length(), a.bit_length() + d.bit_length())
     digits, limit = bits * 30103 // 100000 + 1, sys.get_int_max_str_digits()
     if limit and digits > limit:
@@ -254,8 +252,7 @@ def cmd_cone(args) -> CommandResult:
 def cmd_blowdown(args) -> CommandResult:
     if args.base == "point":
         surface_flags = (("--genus", args.genus), ("--alpha", args.alpha),
-                         ("--class", args.class_xy), ("--ruled-areas", args.ruled_areas),
-                         ("--fiber-rank", args.fiber_rank))
+                         ("--class", args.class_xy), ("--ruled-areas", args.ruled_areas))
         given = [flag for flag, value in surface_flags if value is not None]
         if given:
             raise UsageError(f"--base point takes no divisor data; drop {', '.join(given)}")
@@ -270,7 +267,6 @@ def cmd_blowdown(args) -> CommandResult:
         data = ExceptionalDivisorData.over_surface(
             args.genus, args.alpha,
             None if args.class_xy is None else _parse_pair(args.class_xy, "--class"),
-            fiber_rank=2 if args.fiber_rank is None else args.fiber_rank,
             ruled_areas=(None if args.ruled_areas is None
                          else _parse_pair(args.ruled_areas, "--ruled-areas")))
 
@@ -401,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     blow.add_argument("--convention", choices=["sub", "quotient"], default=None,
                       help="no effect (the class coordinates agree in both "
                            "conventions); will be removed")
-    blow.add_argument("--fiber-rank", type=int, default=None,
-                      help="fiber rank n of a surface-base divisor (default 2)")
     blow.add_argument("--ruled-areas", default=None, metavar="X,Y")
     blow.set_defaults(func=cmd_blowdown)
 

@@ -18,10 +18,13 @@ u = x*h + y*F pairs as <u, a*l + m*eta> = a*x + m*y, and on the forward
 cone {u^n > 0, <u, l> > 0} the scale-invariant ratio u^n / <u,l>^n
 equals e + n*y/x, which pins down the ray of u.
 
-Both the forward-cone test and the ratio are decided on one integer.
-For x = a/b and y = c/d (b, d > 0), lead = e*a*d + n*c*b gives
-e*x + n*y = lead/(b*d) and e + n*y/x = lead/(a*d), so u lies in the
-forward cone exactly when a > 0 and lead > 0.
+Half-planes through the origin are decided on one integer, the
+half-plane numerator N = p*a*d + q*c*b of x = a/b and y = c/d (b, d > 0):
+p*x + q*y = N/(b*d), so N has its sign.  With (p, q) = (e, n),
+u^n = x^(n-1)*N/(b*d) and the ratio e + n*y/x is N/(a*d), so u lies in
+the forward cone exactly when a > 0 and N > 0.  With the boundary slope
+s = p/q of a Kahler cone {x > 0, s*x + y > 0}, N decides Kahler
+membership the same way.
 """
 
 from __future__ import annotations
@@ -138,18 +141,21 @@ def _check_ctx(a: BundleContext, b: BundleContext) -> None:
         raise ContextMismatchError(f"mismatched bundle contexts: {a} vs {b}")
 
 
+def _half_plane(x: Fraction, y: Fraction, p: int, q: int) -> int:
+    """The half-plane numerator p*a*d + q*c*b of x = a/b and y = c/d."""
+    return p * x.numerator * y.denominator + q * y.numerator * x.denominator
+
+
 def top_power(u: DivisorClass) -> Fraction:
     """u^n integrated over the bundle, by the closed formula x^{n-1}(e*x + n*y).
 
-    e*x + n*y is built from the numerators and denominators as one
-    fraction; x^{n-1} stays a separate factor, so that no gcd is ever
-    taken of two integers that are both as large as x^{n-1}.
+    e*x + n*y is built as one fraction over the half-plane numerator;
+    x^{n-1} stays a separate factor, so that no gcd is ever taken of two
+    integers that are both as large as x^{n-1}.
     """
-    n = u.ctx.rank
-    e = u.ctx.top_coefficient
-    x, y = u.x, u.y
-    b, d = x.denominator, y.denominator
-    return x ** (n - 1) * Fraction(e * x.numerator * d + n * y.numerator * b, b * d)
+    ctx, x, y = u.ctx, u.x, u.y
+    return x ** (ctx.rank - 1) * Fraction(_half_plane(x, y, ctx.top_coefficient, ctx.rank),
+                                          x.denominator * y.denominator)
 
 
 def pair(u: DivisorClass, z: CurveClass) -> Fraction:
@@ -157,22 +163,10 @@ def pair(u: DivisorClass, z: CurveClass) -> Fraction:
     return z.l * u.x + z.eta * u.y
 
 
-def _lead(u: DivisorClass) -> int:
-    """e*a*d + n*c*b for x = a/b and y = c/d: the numerator of e*x + n*y
-    over b*d, and of the ratio e + n*y/x over a*d."""
-    x, y = u.x, u.y
-    return (u.ctx.top_coefficient * x.numerator * y.denominator
-            + u.ctx.rank * y.numerator * x.denominator)
-
-
 def in_forward_cone(u: DivisorClass) -> bool:
-    """Strict membership: u^n > 0 and <u, l> > 0.
-
-    With x = a/b, y = c/d and lead = e*a*d + n*c*b, u^n = x^(n-1)*lead/(b*d)
-    and <u, l> = x; both denominators are positive, so membership is
-    a > 0 and lead > 0.
-    """
-    return u.x.numerator > 0 and _lead(u) > 0
+    """Strict membership: u^n > 0 and <u, l> > 0."""
+    ctx = u.ctx
+    return u.x.numerator > 0 and _half_plane(u.x, u.y, ctx.top_coefficient, ctx.rank) > 0
 
 
 class RatioValue(_Record):
@@ -196,17 +190,13 @@ class RatioValue(_Record):
 
 
 def ratio(u: DivisorClass) -> RatioValue:
-    """Scale-invariant ray coordinate e + n*y/x, flagged when out of cone.
-
-    With x = a/b, y = c/d and lead = e*a*d + n*c*b the ratio is
-    lead/(a*d), and the class is in the forward cone when a > 0 and
-    lead > 0; x = 0 leaves the ratio undefined.
-    """
+    """Scale-invariant ray coordinate e + n*y/x, flagged when out of cone;
+    x = 0 leaves the ratio undefined."""
     a = u.x.numerator
     if a == 0:
         return RatioValue(None, False)
-    lead = _lead(u)
-    return RatioValue(Fraction(lead, a * u.y.denominator), a > 0 and lead > 0)
+    num = _half_plane(u.x, u.y, u.ctx.top_coefficient, u.ctx.rank)
+    return RatioValue(Fraction(num, a * u.y.denominator), a > 0 and num > 0)
 
 
 def forward_ratio(u: DivisorClass) -> Fraction:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .bundles import (
     BundleSpec,
@@ -37,6 +36,7 @@ from .cohomology import (
     CurveClass,
     DivisorClass,
     _exact,
+    _half_plane,
     line_class,
     topological_residue,
 )
@@ -115,7 +115,7 @@ class SemistablePlusLine(_Record):
         return self.semistable.degree
 
 
-AmbientBundle = Union[Decomposable, SemistablePlusLine]
+AmbientBundle = Decomposable | SemistablePlusLine
 
 
 def bundle_context(b: BundleSpec | SemistablePlusLine) -> BundleContext:
@@ -207,11 +207,7 @@ def kahler_membership(u: DivisorClass, b: BundleSpec | SemistablePlusLine) -> bo
             f"(rank {want.rank}, degree {want.degree}, genus {want.genus.g})"
         )
     p, q = _kahler_slope(b)  # an unknown cone raises whatever u is
-    # For x = a/b and y = c/d, s*x + y = (p*a*d + q*c*b)/(q*b*d) with every
-    # denominator positive, so membership is a > 0 and p*a*d + q*c*b > 0.
-    x, y = u.x, u.y
-    a = x.numerator
-    return a > 0 and p * a * y.denominator + q * y.numerator * x.denominator > 0
+    return u.x.numerator > 0 and _half_plane(u.x, u.y, p, q) > 0
 
 
 def kahler_cone_ratio(b: BundleSpec) -> Fraction:

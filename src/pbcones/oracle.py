@@ -75,27 +75,21 @@ class CheckLine(_Record):
 
 class CheckReport(_Record):
     __slots__ = ("lines",)
-    __hash__ = None  # its lines are a list, which add and extend grow
 
-    def __init__(self, lines: list[CheckLine] | None = None) -> None:
-        _setattr(self, "lines", [] if lines is None else lines)
+    def __init__(self, lines=()) -> None:
+        _setattr(self, "lines", tuple(lines))
 
     @property
     def all_passed(self) -> bool:
         return all(line.passed for line in self.lines)
 
-    def add(self, name: str, key: str, passed: bool, detail: str) -> None:
-        self.lines.append(CheckLine(name, _digest(key), passed, detail))
-
-    def extend(self, other: "CheckReport") -> None:
-        self.lines.extend(other.lines)
-
     def render(self) -> str:
         return "\n".join(line.render() for line in self.lines)
 
 
-def _digest(key: str) -> str:
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
+def _line(name: str, key: str, passed: bool, detail: str) -> CheckLine:
+    """The check line for key, named by the first 12 hex digits of its sha256."""
+    return CheckLine(name, hashlib.sha256(key.encode("utf-8")).hexdigest()[:12], passed, detail)
 
 
 def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
@@ -162,7 +156,6 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
     Pairings are computed inline as a*x + m*y over the integer grid; the
     candidate degrees a come from the symmetric-power enumeration.
     """
-    report = CheckReport()
     section_degrees = {m: enumerate_sym_quotients(b, m) for m in range(1, max_m + 1)}
     ctx = bundle_context(b)
     # each grid coordinate with its Fraction, built once per bundle
@@ -181,13 +174,10 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
                         violations.append(f"({x},{y}) pairs {a * x + m * y} with {a}l+{m}eta")
     key = (f"cone degrees={list(b.degrees)} grid=x[{GridSpec.x_min},{GridSpec.x_max}] "
            f"y[{GridSpec.y_min},{GridSpec.y_max}] m<={max_m} strict")
+    detail = f"classes={tested} violations={len(violations)}"
     if violations:
-        report.add("cone-positivity", key, False,
-                   f"classes={tested} violations={len(violations)} first={violations[0]}")
-    else:
-        report.add("cone-positivity", key, True,
-                   f"classes={tested} violations=0")
-    return report
+        detail += f" first={violations[0]}"
+    return CheckReport([_line("cone-positivity", key, not violations, detail)])
 
 
 # Every value Fraction(p, q) of a sample, p in -9..9 and q in 1..9, at
@@ -233,7 +223,7 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     if classes > _MAX_RING_CLASSES:
         raise OracleGuardError(f"ring sweep would sample {classes} classes, more than "
                                f"{_MAX_RING_CLASSES}")
-    report = CheckReport()
+    lines = []
     rng = random.Random(seed)
     for n in range(1, max_rank + 1):
         for d in range(-max_abs_degree, max_abs_degree + 1):
@@ -245,10 +235,10 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
                     if top_power(u) != brute_ring_power(u, n):
                         mismatches += 1
                 key = f"ring n={n} d={d} conv={convention.value} seed={seed} samples={samples}"
-                report.add("ring-top-power", key, mismatches == 0,
-                           f"n={n} d={d} conv={convention.value} seed={seed} "
-                           f"samples={samples} mismatches={mismatches}")
-    return report
+                lines.append(_line("ring-top-power", key, mismatches == 0,
+                                   f"n={n} d={d} conv={convention.value} seed={seed} "
+                                   f"samples={samples} mismatches={mismatches}"))
+    return CheckReport(lines)
 
 
 def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_m: int) -> None:
@@ -278,7 +268,7 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
     minimal-degree bound against raw enumeration."""
     _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m)
-    report = CheckReport()
+    lines = []
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
     for r in range(1, max_rank + 1):
@@ -297,24 +287,19 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
                       and tuple(enum) == sym_power(b, m).degrees)
                 if not ok:
                     bad.append(f"degrees={list(degrees)}")
-            key = f"sympow r={r} m={m} span={max_abs_degree}"
-            if bad:
-                report.add("sympow-formulas", key, False,
-                           f"r={r} m={m} bundles={bundles} bad={len(bad)} first={bad[0]}")
-            else:
-                report.add("sympow-formulas", key, True,
-                           f"r={r} m={m} bundles={bundles} mismatches=0")
-    return report
+            detail = (f"r={r} m={m} bundles={bundles} bad={len(bad)} first={bad[0]}" if bad
+                      else f"r={r} m={m} bundles={bundles} mismatches=0")
+            lines.append(_line("sympow-formulas", f"sympow r={r} m={m} span={max_abs_degree}",
+                               not bad, detail))
+    return CheckReport(lines)
 
 
 def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3, max_m: int = 5) -> CheckReport:
     """Run the cone positivity check, with multisections of degree up to
     max_m, over all decomposable bundles in range."""
     _guard_sweep_size("cone", max_rank, max_abs_degree, max_m)
-    report = CheckReport()
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
-    for r in range(1, max_rank + 1):
-        for degrees in combinations_with_replacement(span, r):
-            report.extend(sample_cone_check(Decomposable(degrees, genus0), max_m))
-    return report
+    return CheckReport(line for r in range(1, max_rank + 1)
+                       for degrees in combinations_with_replacement(span, r)
+                       for line in sample_cone_check(Decomposable(degrees, genus0), max_m).lines)

@@ -196,6 +196,10 @@ USAGE_ERRORS = [
     "bundle sympow --degrees , -m 2",
     "bundle sympow --degrees " + ",".join(map(str, range(20))) + " -m 20",
     "bundle sympow --degrees 0,2 -m 0",
+    # every degree list item must be an integer; an empty one is not
+    "bundle slope --degrees 1,,2",
+    "bundle semistable --degrees ,1",
+    "cone --degrees 1,2,",
     "cone --semistable 2,-3 --genus 0",
     "cone --semistable 0,2 --genus 1",
     "cone --degrees 1,2 --semistable 2,2",
@@ -204,7 +208,6 @@ USAGE_ERRORS = [
     "blowdown --genus 0 --alpha 2 --ruled-areas 1,-1",
     "blowdown --genus 1 --alpha 2 --ruled-areas 1,2",
     "blowdown --genus 0 --alpha -1 --class 0,1",
-    "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 3",
     "blowdown --genus 0 --alpha 2 --ruled-areas 1/0,1",
     # a point-base divisor takes no surface data
     "blowdown --base point --genus 0 --alpha 3 --class 1,2 --json",
@@ -212,8 +215,6 @@ USAGE_ERRORS = [
     "blowdown --base point --alpha -1",
     "blowdown --base point --class 1,3/2",
     "blowdown --base point --ruled-areas 1,2",
-    "blowdown --base point --fiber-rank 7",
-    "blowdown --base point --fiber-rank 2",
     "check sympow --max-rank 9",
     "check ring --samples -5",
     "check sympow --max-rank 0",
@@ -241,6 +242,26 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv.split()) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_ring_digit_guard_boundary(capsys):
+    # the guard bounds the answer's digits from the parts' bit lengths
+    for deg in ("1", "-1"):
+        assert main(f"ring --rank 1000 --deg {deg} --class 9999/7,1 --json".split()) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 1000
+    assert main("ring --rank 1000 --deg 1 --class 99999/7,1 --json".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the answer could have 5118 digits; ints print at most 4300\n"
+
+
+def test_blowdown_takes_no_fiber_rank(tmp_path, capsys):
+    spec = tmp_path / "bd.json"
+    spec.write_text(json.dumps({"genus": 0, "alpha": -1, "class": "1,3/2", "fiber_rank": 2}))
+    for argv in ("blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 2".split(),
+                 ["blowdown", "--spec", str(spec)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, refusal", [
@@ -310,6 +331,16 @@ def test_cli_import_leaves_the_oracle_unloaded():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n", done.stdout
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # No stdlib module pbcones uses imports typing; -S keeps site's .pth hooks out.
+    src = str(Path(pbcones.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, pbcones.cli; print('typing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n", done.stdout
 
 
 def test_spec_file_mode(tmp_path, capsys):

@@ -35,7 +35,7 @@ FLAGS = {
     "bundle semistable": {"--degrees": degrees},
     "cone": {"--degrees": degrees, "--semistable": pair, "--genus": small_int, "--class": pair},
     "blowdown": {"--base": st.sampled_from(["point", "surface"]), "--genus": small_int,
-                 "--alpha": small_int, "--class": pair, "--fiber-rank": small_int,
+                 "--alpha": small_int, "--class": pair,
                  "--ruled-areas": pair, "--convention": st.sampled_from(["sub", "quotient"])},
 }
 # The flags a query needs to get past usage checks; drawn half the time.
