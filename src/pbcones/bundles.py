@@ -26,12 +26,10 @@ __all__ = [
     "rank",
     "degree",
     "slope",
-    "dual",
     "twist",
     "sym_power",
     "sym_rank_degree",
     "is_semistable",
-    "semistable_exists",
 ]
 
 # Most work sym_power will do, in summands times m: each summand is the
@@ -110,7 +108,11 @@ class SemiStable(_Record):
     __slots__ = ("rank", "degree", "base")
 
     def __init__(self, rank: int, degree: int, base: SurfaceGenus) -> None:
-        if not semistable_exists(base, rank, degree):
+        # Over positive genus one exists for every rank and degree; over
+        # genus 0 only the balanced sums are semistable.
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        if base.g == 0 and degree % rank:
             raise ValueError(
                 "over genus 0 every bundle splits; a semistable bundle of rank "
                 f"{rank} and degree {degree} does not exist"
@@ -146,13 +148,6 @@ def degree(b: BundleSpec) -> int:
 def slope(b: BundleSpec) -> Fraction:
     """Degree divided by rank, as an exact fraction."""
     return Fraction(degree(b), rank(b))
-
-
-def dual(b: BundleSpec) -> BundleSpec:
-    """Dual bundle: all degrees negate.  The dual of semistable is semistable."""
-    if isinstance(b, Decomposable):
-        return Decomposable(tuple(-a for a in b.degrees), b.base)
-    return SemiStable(b.rank, -b.degree, b.base)
 
 
 def twist(b: BundleSpec, t: int) -> BundleSpec:
@@ -212,16 +207,3 @@ def is_semistable(b: BundleSpec) -> bool:
     if isinstance(b, SemiStable):
         return True
     return len(set(b.degrees)) == 1
-
-
-def semistable_exists(genus: SurfaceGenus, r: int, d: int) -> bool:
-    """Whether a semistable bundle of the given rank and degree exists.
-
-    Over positive genus they exist for every rank and degree; over genus
-    0 only balanced direct sums are semistable.
-    """
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
-    if genus.g >= 1:
-        return True
-    return d % r == 0

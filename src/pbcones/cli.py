@@ -4,7 +4,8 @@ All numeric output is exact (integers or p/q strings).  Every subcommand
 takes --json for one-line machine output with a stable field order, and
 --spec FILE to read the same flags from a JSON document (explicit flags
 win wherever they appear).  Exit codes: 0 success, 1 negative
-mathematical verdict, 2 usage or input error.
+mathematical verdict, 2 usage or input error, which prints one
+"error: ..." line on stderr whether argparse or a command refused.
 
 Each cmd_* is pure: it returns (payload, human lines, exit code) and
 main alone prints, so every command shares one output path.
@@ -73,8 +74,6 @@ _CHECK_TARGETS = {
     "sympow": {**_SIZES, "--max-m": "max_m"},
     "cone": {**_SIZES, "--max-m": "max_m"},
 }
-# Every check flag, in the order the parser lists them and a refusal names them.
-_CHECK_FLAGS = list(dict.fromkeys(flag for row in _CHECK_TARGETS.values() for flag in row))
 
 # What every cmd_* returns: the JSON payload (main adds "command" in
 # front), the human-readable lines, and the exit code.
@@ -83,6 +82,14 @@ CommandResult = tuple[dict, list[str], int]
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses with a UsageError, so that argparse's refusals print the same
+    one error line as every other; subparsers are built with this class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -207,8 +214,6 @@ def cmd_bundle(args) -> CommandResult:
 
 
 def cmd_cone(args) -> CommandResult:
-    if (args.degrees is None) == (args.semistable is None):
-        raise UsageError("give exactly one of --degrees or --semistable R,D")
     genus = SurfaceGenus(args.genus)
     if args.degrees is not None:
         b = Decomposable(_parse_degrees(args.degrees), genus)
@@ -255,7 +260,7 @@ def cmd_blowdown(args) -> CommandResult:
                          ("--class", args.class_xy), ("--ruled-areas", args.ruled_areas))
         given = [flag for flag, value in surface_flags if value is not None]
         if given:
-            raise UsageError(f"--base point takes no divisor data; drop {', '.join(given)}")
+            raise UsageError(f"--base point has no divisor data; drop {', '.join(given)}")
         data = ExceptionalDivisorData.point()
     else:
         if args.genus is None or args.alpha is None:
@@ -307,18 +312,13 @@ def cmd_blowdown(args) -> CommandResult:
 
 def cmd_check(args) -> CommandResult:
     row = _CHECK_TARGETS[args.target]
-    given = {flag: value for flag in _CHECK_FLAGS
-             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
-    ignored = [flag for flag in given if flag not in row]
-    if ignored:
-        raise UsageError(f"check {args.target} takes no {', '.join(ignored)}")
     # Only check needs the oracle (and its hashlib and random); importing it
     # here keeps it out of every other command's start-up.
     from . import oracle
 
     try:
         report = getattr(oracle, f"{args.target}_sweep")(
-            **{row[flag]: value for flag, value in given.items()})
+            **{size: value for size in row.values() if (value := getattr(args, size)) is not None})
     except oracle.OracleGuardError as err:
         if err.size is None:
             raise
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spec", default=None,
                         help="JSON file providing any of this command's flags")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pbcone",
         description="Exact intersection rings, cones and blow-down certificates "
                     "for projective bundles over curves.",
@@ -380,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_bundle)
 
     cone = sub.add_parser("cone", parents=[common], help="curve cone and Kahler cone")
-    cone.add_argument("--degrees", default=None, metavar="a1,...,an")
-    cone.add_argument("--semistable", default=None, metavar="R,D")
+    bundle = cone.add_mutually_exclusive_group(required=True)
+    bundle.add_argument("--degrees", default=None, metavar="a1,...,an")
+    bundle.add_argument("--semistable", default=None, metavar="R,D")
     cone.add_argument("--genus", type=int, default=0)
     cone.add_argument("--class", dest="class_xy", default=None, metavar="X,Y")
     cone.set_defaults(func=cmd_cone)
@@ -400,14 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     blow.add_argument("--ruled-areas", default=None, metavar="X,Y")
     blow.set_defaults(func=cmd_blowdown)
 
-    check = sub.add_parser("check", parents=[common], help="run brute-force oracle sweeps")
-    check.add_argument("target", choices=list(_CHECK_TARGETS))
-    for flag in _CHECK_FLAGS:
-        takers = [target for target, row in _CHECK_TARGETS.items() if flag in row]
-        check.add_argument(flag, type=int, default=None,
-                           help=None if len(takers) == len(_CHECK_TARGETS)
-                           else f"{' and '.join(takers)} only")
-    check.set_defaults(func=cmd_check)
+    check_sub = sub.add_parser("check", help="run brute-force oracle sweeps").add_subparsers(
+        dest="target", required=True)
+    for target, row in _CHECK_TARGETS.items():
+        p = check_sub.add_parser(target, parents=[common], help=f"the {target} oracle sweep")
+        for flag, size in row.items():
+            p.add_argument(flag, dest=size, type=int, default=None, metavar="N")
+        p.set_defaults(func=cmd_check)
 
     return parser
 
@@ -433,7 +433,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 @functools.cache
 def _spec_parser() -> argparse.ArgumentParser:
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--spec")
     return pre
 
@@ -473,11 +473,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(_expand_spec(list(argv)))
         payload, human, code = args.func(args)
-    except (ValueError, argparse.ArgumentError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit:  # only --help exits; every refusal is a UsageError
+        return 0
     if args.command == "blowdown" and args.convention is not None:
         print("notice: blowdown --convention has no effect and will be removed",
               file=sys.stderr)

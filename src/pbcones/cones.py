@@ -50,7 +50,6 @@ __all__ = [
     "NoSuchClassError",
     "admissibility_bound",
     "bundle_context",
-    "balanced_form",
     "plus_trivial_line",
     "kahler_cone",
     "kahler_membership",
@@ -122,20 +121,13 @@ def bundle_context(b: BundleSpec | SemistablePlusLine) -> BundleContext:
     return BundleContext(rank(b), degree(b), Convention.QUOTIENT, b.base)
 
 
-def balanced_form(b: SemiStable) -> Decomposable:
-    """The balanced line-bundle splitting of a genus-0 semistable bundle."""
-    if b.base.g != 0:
-        raise ValueError("balanced splitting only applies over genus 0")
-    a = b.degree // b.rank
-    return Decomposable((a,) * b.rank, b.base)
-
-
 def plus_trivial_line(b: BundleSpec) -> AmbientBundle:
     """The bundle V + O modeling the total space of the blow-down triple."""
     if isinstance(b, Decomposable):
         return Decomposable(b.degrees + (0,), b.base)
     if b.base.g == 0:
-        return Decomposable(balanced_form(b).degrees + (0,), b.base)
+        # over genus 0 a semistable bundle is the balanced sum O(a) + ... + O(a)
+        return Decomposable((b.degree // b.rank,) * b.rank + (0,), b.base)
     return SemistablePlusLine(b)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pbcones.blowdown import (
     ExceptionalDivisorData,
+    MatchingTripleCertificate,
     NotAdmissibleError,
     Ruling,
     VerdictKind,
@@ -254,6 +255,24 @@ def test_validate_certificate_accepts_and_rejects():
     res = validate_certificate(twisted, d)
     assert not res and any("normal degree mismatch" in f for f in res.failures)
     assert any("Kahler class rejected" in f for f in res.failures)
+
+
+def test_validate_certificate_negative_controls():
+    d = divisor(0, -1, (1, Q(3, 2)))
+    cert = build_matching_triple(d)
+    res = validate_certificate(cert, ExceptionalDivisorData.point())
+    assert res.failures == ("point-base divisors carry no matching triple",)
+
+    # degree alpha = -1 kept, rank 3 against the divisor's fiber rank 2
+    wrong_rank = MatchingTripleCertificate(decomposable(-1, 0, 0), cert.kahler_class,
+                                           cert.restricted_ratio)
+    res = validate_certificate(wrong_rank, d)
+    assert "rank mismatch: model bundle rank 3 != fiber rank 2" in res.failures
+
+    wrong_field = MatchingTripleCertificate(cert.model_bundle, cert.kahler_class, Q(5))
+    res = validate_certificate(wrong_field, d)
+    assert res.failures == ("certificate ratio field 5 disagrees with the actual "
+                            "restriction ratio 2",)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

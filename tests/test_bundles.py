@@ -11,11 +11,9 @@ from pbcones.bundles import (
     SurfaceGenus,
     decomposable,
     degree,
-    dual,
     is_semistable,
     rank,
     semi_stable,
-    semistable_exists,
     slope,
     sym_power,
     sym_rank_degree,
@@ -29,17 +27,6 @@ def test_slope_examples():
     assert slope(decomposable(1, 2)) == Fraction(3, 2)
     assert slope(semi_stable(3, -4, genus=1)) == Fraction(-4, 3)
     assert slope(decomposable(0, 0, 0)) == 0
-
-
-def test_dual_examples():
-    assert dual(decomposable(1, 2)) == decomposable(-1, -2)
-    assert dual(semi_stable(2, -3, genus=1)) == semi_stable(2, 3, genus=1)
-
-
-@given(degree_lists)
-def test_dual_is_involution(degs):
-    b = decomposable(*degs)
-    assert dual(dual(b)) == b
 
 
 def test_twist_examples():
@@ -125,9 +112,12 @@ def test_semistable_iff_degree_bounds_collapse(degs):
 
 
 def test_semistable_exists():
-    assert semistable_exists(SurfaceGenus(1), 2, -3)
-    assert not semistable_exists(SurfaceGenus(0), 2, -3)
-    assert semistable_exists(SurfaceGenus(0), 2, 4)
+    # every rank and degree over positive genus; over genus 0 only the
+    # balanced sums, where the rank divides the degree
+    assert SemiStable(2, -3, SurfaceGenus(1)).degree == -3
+    with pytest.raises(ValueError, match="does not exist"):
+        SemiStable(2, -3, SurfaceGenus(0))
+    assert SemiStable(2, 4, SurfaceGenus(0)).degree == 4
 
 
 def test_bundle_invariants_enforced():

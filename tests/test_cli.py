@@ -234,6 +234,17 @@ USAGE_ERRORS = [
     # summands times m past the 10^6 work bound
     "bundle sympow --degrees 0,1 -m 999999",
     "bundle sympow --degrees 0 -m 1000000000",
+    # argparse's refusals: an unknown flag, a missing required flag, a value
+    # outside the choices, a non-integer, a missing subcommand
+    "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 2",
+    "ring --rank 2 --deg 2",
+    "blowdown --base line",
+    "ring --rank two --deg 2 --class 1,0",
+    "check",
+    # neither --degrees nor --semistable
+    "cone --genus 1",
+    # check flags follow the target
+    "check --max-rank 2 ring",
 ]
 
 
@@ -277,14 +288,24 @@ def test_blowdown_takes_no_fiber_rank(tmp_path, capsys):
     ("check cone --max-rank 0", "cone sweep needs --max-rank from 1 to 6, got 0"),
     ("check sympow --max-degree -1", "sympow sweep needs --max-degree >= 0, got -1"),
     # flags the target does not take
-    ("check sympow --samples 3", "check sympow takes no --samples"),
-    ("check cone --seed 1 --samples 2", "check cone takes no --seed, --samples"),
-    ("check ring --max-m 2", "check ring takes no --max-m"),
+    ("check sympow --samples 3", "unrecognized arguments: --samples 3"),
+    ("check cone --seed 1 --samples 2", "unrecognized arguments: --seed 1 --samples 2"),
+    ("check ring --max-m 2", "unrecognized arguments: --max-m 2"),
 ])
 def test_check_size_refusals_name_the_flag(capsys, argv, refusal):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+
+
+def test_check_spec_file_sets_the_sweep_sizes(tmp_path, capsys):
+    spec = tmp_path / "check.json"
+    spec.write_text(json.dumps({"samples": 3, "max_degree": 1, "max_rank": 2, "json": True}))
+    assert main(["check", "ring", "--spec", str(spec)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    want = oracle.ring_sweep(max_rank=2, max_abs_degree=1, samples=3).lines
+    assert checks == [{"name": line.name, "digest": line.digest, "passed": line.passed,
+                       "detail": line.detail} for line in want]
 
 
 def test_check_commands(capsys):
@@ -368,6 +389,37 @@ def test_spec_file_blowdown(tmp_path, capsys):
     assert main(["blowdown", f"--spec={spec}"]) == 0
     out = capsys.readouterr().out
     assert out == GOLDENS[10][1] + "\n"
+
+
+def test_spec_file_refusals_are_one_line(tmp_path, capsys):
+    # a key that is no flag, a float for an int flag, true for a flag
+    # that takes a value
+    for doc in ({"command": "ring"}, {"rank": 1.5}, {"genus": True}):
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["ring", "--spec", str(spec)]) == 2, doc
+        captured = capsys.readouterr()
+        assert captured.out == "", doc
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, doc
+
+
+def test_help_exits_0(capsys):
+    assert main(["ring", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: pbcone ring ")
+    assert captured.err == ""
+
+
+def test_module_entry_point_refuses_in_one_line():
+    # python -m pbcones runs console_main, which reads sys.argv
+    src = str(Path(pbcones.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 2".split()
+    done = subprocess.run([sys.executable, "-m", "pbcones", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: unrecognized arguments: --fiber-rank 2\n"
 
 
 def test_spec_file_errors(tmp_path, capsys):

@@ -75,9 +75,7 @@ def _run(argv: list[str]) -> None:
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr, (argv, stderr)
     if code == 2:
-        one_line_error = stderr.startswith("error: ") and stderr.count("\n") == 1
-        argparse_usage = stderr.startswith("usage: pbcone") and "error:" in stderr
-        assert one_line_error or argparse_usage, (argv, stderr)
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
     else:
         assert out.getvalue(), argv
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pbcones.bundles import (
     Decomposable,
+    SemiStable,
     SurfaceGenus,
     decomposable,
     degree,
@@ -32,7 +33,6 @@ from pbcones.cones import (
     NoSuchClassError,
     SemistablePlusLine,
     admissibility_bound,
-    balanced_form,
     bundle_context,
     kahler_class_for_ratio,
     kahler_cone,
@@ -236,13 +236,14 @@ def test_kahler_cone_ratio_examples():
 
 
 def test_genus0_semistable_equals_balanced_decomposable():
-    assert balanced_form(semi_stable(2, 4, genus=0)) == decomposable(2, 2)
+    # over genus 0 the ambient V + O of a semistable V is the balanced sum plus O
+    assert plus_trivial_line(SemiStable(2, 4, G0)) == Decomposable((2, 2, 0), G0)
     for r in (1, 2, 3, 4):
         for d in range(-8, 9):
             if d % r:
                 continue
             s = semi_stable(r, d, genus=0)
-            b = balanced_form(s)
+            b = decomposable(*(d // r,) * r)
             cs, cb = kahler_cone(s), kahler_cone(b)
             assert cs.rays == cb.rays, (r, d)
             assert cs.boundary_slope == cb.boundary_slope == Q(d, r)

@@ -218,6 +218,21 @@ def test_sample_cone_check_negative_control(monkeypatch):
     assert "FAIL" in report.render()
 
 
+def test_sympow_sweep_negative_control(monkeypatch):
+    # a symmetric power whose top summand is one too high must fail every line
+    def top_off_by_one(b, m):
+        degrees = sym_power(b, m).degrees
+        return decomposable(*degrees[:-1], degrees[-1] + 1)
+
+    monkeypatch.setattr(oracle, "sym_power", top_off_by_one)
+    report = sympow_sweep(max_rank=2, max_abs_degree=1, max_m=2)
+    assert not report.all_passed
+    assert len(report.lines) == 4
+    for line in report.lines:
+        assert not line.passed, line.render()
+        assert " bad=" in line.detail and " first=degrees=[" in line.detail, line.render()
+
+
 def test_ring_sweep_small():
     report = ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20)
     assert report.all_passed
