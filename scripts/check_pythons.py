@@ -16,7 +16,13 @@ is not selected fails to start).  Under each one, run as ``-S`` with
 * every ``USAGE_ERRORS`` argv of ``tests/test_cli.py`` exits 2 and prints
   one ``error: `` line on stderr and nothing on stdout;
 * the sympow and cone sweep reports match the sha256s pinned in
-  ``tests/test_acceptance.py``.
+  ``tests/test_acceptance.py``;
+* the argv that ``perfbench/cli_spawn.generate`` draws for the ``SEEDS``
+  of ``tests/test_cli_spawn_digest.py`` give its ``PINNED`` per-label
+  digests of exit codes and stdout (perfbench/ is imported with bytecode
+  writing off, and the spec files go to a temporary directory);
+* the acceptance ``ring_sweep(seed=1, samples=1000)`` passes within its
+  10 s bound; the time is printed.
 
 It prints each interpreter it ran with its result, and each minor version
 it did not find.  The exit code is 1 when a check failed or no
@@ -35,10 +41,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MINORS = (10, 11, 12, 13)
+RING_SWEEP_BOUND_S = 10.0
 
 
 def _constant(path: Path, name: str):
@@ -62,14 +71,37 @@ def _run_main(main, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _spawn_digests(main, seeds: tuple[int, ...], count: int) -> dict[str, str]:
+    """Per-label sha256 of every exit code and stdout over the benchmark's
+    argv mix, taken as tests/test_cli_spawn_digest.py takes it."""
+    sys.dont_write_bytecode = True  # perfbench/ is read, never written
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import cli_spawn
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            for i, query in enumerate(cli_spawn.generate(seed, count)):
+                argv = list(query.argv)
+                if query.spec is not None:
+                    spec = Path(tmp) / f"seed{seed}-spec-{i}.json"
+                    spec.write_text(json.dumps(query.spec))
+                    argv[argv.index("--spec") + 1] = str(spec)
+                code, out, _ = _run_main(main, argv)
+                h = digests.setdefault(query.label, hashlib.sha256())
+                h.update(f"{code}:{len(out)}:{out}".encode())
+    return {label: h.hexdigest() for label, h in digests.items()}
+
+
 def child() -> int:
     """Run every check in this interpreter; print one line per failure and
     a last line of JSON counts."""
     from pbcones import oracle
     from pbcones.cli import main
 
-    test_cli, test_acceptance = (ROOT / "tests" / f"{name}.py"
-                                 for name in ("test_cli", "test_acceptance"))
+    test_cli, test_acceptance, test_spawn = (
+        ROOT / "tests" / f"{name}.py"
+        for name in ("test_cli", "test_acceptance", "test_cli_spawn_digest"))
     goldens = _constant(test_cli, "GOLDENS")
     usage_errors = _constant(test_cli, "USAGE_ERRORS")
     failures = []
@@ -88,10 +120,22 @@ def child() -> int:
         digest = hashlib.sha256(report.render().encode("utf-8")).hexdigest()
         if digest != _constant(test_acceptance, name):
             failures.append(f"{name}: got {digest}")
+    seeds, count = _constant(test_spawn, "SEEDS"), _constant(test_spawn, "COUNT")
+    pinned, spawned = _constant(test_spawn, "PINNED"), _spawn_digests(main, seeds, count)
+    failures += [f"spawn digest {label}: got {spawned.get(label)}"
+                 for label in sorted(pinned.keys() | spawned.keys())
+                 if spawned.get(label) != pinned.get(label)]
+    start = time.perf_counter()
+    ring = oracle.ring_sweep(seed=1, samples=1000)
+    ring_s = time.perf_counter() - start
+    if not ring.all_passed or ring_s >= RING_SWEEP_BOUND_S:
+        failures.append(f"ring_sweep(seed=1, samples=1000): all_passed {ring.all_passed} "
+                        f"in {ring_s:.2f} s, bound {RING_SWEEP_BOUND_S} s")
     for failure in failures:
         print(failure)
     print(json.dumps({"goldens": len(goldens), "usage_errors": len(usage_errors),
-                      "digests": len(reports), "failures": len(failures)}))
+                      "digests": len(reports), "spawn_argv": len(seeds) * count,
+                      "ring_sweep_s": round(ring_s, 2), "failures": len(failures)}))
     return 1 if failures else 0
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "SemiStable",
     "BundleSpec",
     "decomposable",
-    "semi_stable",
     "rank",
     "degree",
     "slope",
@@ -127,10 +126,6 @@ BundleSpec = Decomposable | SemiStable
 
 def decomposable(*degrees: int, genus: int = 0) -> Decomposable:
     return Decomposable(tuple(degrees), SurfaceGenus(genus))
-
-
-def semi_stable(rank: int, degree: int, genus: int) -> SemiStable:
-    return SemiStable(rank, degree, SurfaceGenus(genus))
 
 
 def rank(b: BundleSpec) -> int:

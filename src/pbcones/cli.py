@@ -7,12 +7,12 @@ win wherever they appear).  Exit codes: 0 success, 1 negative
 mathematical verdict, 2 usage or input error, which prints one
 "error: ..." line on stderr whether argparse or a command refused.
 
-Each cmd_* is pure: it returns (payload, human lines, exit code) and
-main alone prints, so every command shares one output path.
+Each cmd_* is pure: it reads values its flags' argparse types parsed, returns
+(payload, human lines, exit code), and main alone prints.
 
 Degrees passed via --deg/--alpha are quotient-convention degrees; with
---convention sub the same number is the normal type of the sub-convention
-model (minus its degree), and only the presentation changes.
+ring --convention sub the same number is the normal type of the
+sub-convention model (minus its degree), and only the presentation changes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -85,36 +86,41 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses with a UsageError, so that argparse's refusals print the same
-    one error line as every other; subparsers are built with this class."""
+    """Refuses with a UsageError, so that argparse's refusals print the CLI's
+    one error line, and takes no abbreviated flag; subparsers use this class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
 
 
-def _parse_rational(text: str) -> Fraction:
+# Argparse types: each raises ArgumentTypeError, whose text argparse prints
+# after the flag's name (a plain ValueError would lose the text).
+def _rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
-        raise UsageError(f"malformed rational {text!r}: expected p or p/q "
-                         "with q non-zero and no spaces")
+        raise argparse.ArgumentTypeError(f"malformed rational {text!r}: expected p or "
+                                         "p/q with q non-zero and no spaces")
     return Fraction(text)
 
 
-def _parse_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"malformed integer {text!r}") from None
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}") from None
 
 
-def _parse_pair(text: str, what: str, parse=_parse_rational) -> tuple:
+def _pair(text: str, parse=_rational) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"{what} must be two comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
     return parse(parts[0]), parse(parts[1])
 
 
-def _parse_degrees(text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(p) for p in text.split(","))
+def _degrees(text: str) -> tuple[int, ...]:
+    return tuple(_int(p) for p in text.split(","))
 
 
 def _class_json(x: Fraction, y: Fraction) -> dict:
@@ -136,7 +142,7 @@ def cmd_ring(args) -> CommandResult:
     conv = Convention(args.convention)
     ctx_degree = args.deg if conv is Convention.QUOTIENT else -args.deg
     ctx = BundleContext(args.rank, ctx_degree, conv, SurfaceGenus(args.genus))
-    x, y = _parse_pair(args.class_xy, "--class")
+    x, y = args.class_xy
     # For x = a/b and y = c/d, u^n is a^(n-1) times the half-plane numerator
     # over b^n*d, and the ratio is that numerator over a*d.  Refuse, before
     # computing them, parts whose bit lengths could mean more digits than an
@@ -189,9 +195,8 @@ def cmd_ring(args) -> CommandResult:
 
 
 def cmd_bundle(args) -> CommandResult:
-    degrees = _parse_degrees(args.degrees)
-    b = Decomposable(degrees, SurfaceGenus(0))
-    payload = {"action": args.action, "input": list(degrees)}
+    b = Decomposable(args.degrees, SurfaceGenus(0))
+    payload = {"action": args.action, "input": list(args.degrees)}
     if args.action == "sympow":
         result = sym_power(b, args.m)
         payload.update(m=args.m, degrees=list(result.degrees),
@@ -216,10 +221,10 @@ def cmd_bundle(args) -> CommandResult:
 def cmd_cone(args) -> CommandResult:
     genus = SurfaceGenus(args.genus)
     if args.degrees is not None:
-        b = Decomposable(_parse_degrees(args.degrees), genus)
+        b = Decomposable(args.degrees, genus)
         described = f"decomposable {list(b.degrees)}"
     else:
-        r, d = _parse_pair(args.semistable, "--semistable", _parse_int)
+        r, d = args.semistable
         b = SemiStable(r, d, genus)
         described = f"semistable rank {r} degree {d}"
 
@@ -234,7 +239,7 @@ def cmd_cone(args) -> CommandResult:
 
     member = cls = None
     if args.class_xy is not None:
-        x, y = _parse_pair(args.class_xy, "--class")
+        x, y = args.class_xy
         member = kahler_membership(DivisorClass(x, y, cone.rays[0].ctx), b)
         cls = _class_json(x, y)
         human.append(f"class ({x},{y}): {'Kahler' if member else 'not Kahler'}")
@@ -266,14 +271,8 @@ def cmd_blowdown(args) -> CommandResult:
         if args.genus is None or args.alpha is None:
             raise UsageError("surface-base blow-down needs --genus and --alpha "
                              "(or --base point)")
-        if args.class_xy is None and args.ruled_areas is None:
-            raise UsageError("give --class X,Y or, for the genus-0, alpha=2 sphere "
-                             "product, --ruled-areas X,Y (or both)")
-        data = ExceptionalDivisorData.over_surface(
-            args.genus, args.alpha,
-            None if args.class_xy is None else _parse_pair(args.class_xy, "--class"),
-            ruled_areas=(None if args.ruled_areas is None
-                         else _parse_pair(args.ruled_areas, "--ruled-areas")))
+        data = ExceptionalDivisorData.over_surface(args.genus, args.alpha, args.class_xy,
+                                                   ruled_areas=args.ruled_areas)
 
     verdict = blowdown_verdict_dim6(data)
     cert, ruling = verdict.certificate, verdict.chosen_ruling
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="quotient-convention degree of the modeling bundle")
     ring.add_argument("--convention", choices=["quotient", "sub"], default="quotient")
     ring.add_argument("--genus", type=int, default=0)
-    ring.add_argument("--class", dest="class_xy", required=True, metavar="X,Y")
+    ring.add_argument("--class", dest="class_xy", type=_pair, required=True, metavar="X,Y")
     ring.set_defaults(func=cmd_ring)
 
     bundle_sub = sub.add_parser("bundle", help="line-bundle sum algebra").add_subparsers(
@@ -374,17 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
                                         ("twist", "tensor by a line bundle", "-t"),
                                         ("semistable", "semistability of the sum", None)):
         p = bundle_sub.add_parser(action, parents=[common], help=help_text)
-        p.add_argument("--degrees", required=True, metavar="a1,...,an")
+        p.add_argument("--degrees", type=_degrees, required=True, metavar="a1,...,an")
         if int_flag is not None:
             p.add_argument(int_flag, type=int, required=True)
         p.set_defaults(func=cmd_bundle)
 
     cone = sub.add_parser("cone", parents=[common], help="curve cone and Kahler cone")
     bundle = cone.add_mutually_exclusive_group(required=True)
-    bundle.add_argument("--degrees", default=None, metavar="a1,...,an")
-    bundle.add_argument("--semistable", default=None, metavar="R,D")
+    bundle.add_argument("--degrees", type=_degrees, default=None, metavar="a1,...,an")
+    bundle.add_argument("--semistable", type=functools.partial(_pair, parse=_int),
+                        default=None, metavar="R,D")
     cone.add_argument("--genus", type=int, default=0)
-    cone.add_argument("--class", dest="class_xy", default=None, metavar="X,Y")
+    cone.add_argument("--class", dest="class_xy", type=_pair, default=None, metavar="X,Y")
     cone.set_defaults(func=cmd_cone)
 
     blow = sub.add_parser("blowdown", parents=[common], help="dimension-6 blow-down verdict")
@@ -393,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     blow.add_argument("--alpha", type=int, default=None,
                       help="signed normal self-intersection (quotient-convention "
                            "degree of the model bundle)")
-    blow.add_argument("--class", dest="class_xy", default=None, metavar="X,Y",
+    blow.add_argument("--class", dest="class_xy", type=_pair, default=None, metavar="X,Y",
                       help="restricted symplectic class")
     blow.add_argument("--convention", choices=["sub", "quotient"], default=None,
                       help="no effect (the class coordinates agree in both "
                            "conventions); will be removed")
-    blow.add_argument("--ruled-areas", default=None, metavar="X,Y")
+    blow.add_argument("--ruled-areas", type=_pair, default=None, metavar="X,Y")
     blow.set_defaults(func=cmd_blowdown)
 
     check_sub = sub.add_parser("check", help="run brute-force oracle sweeps").add_subparsers(
@@ -412,17 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values may start with a minus sign (negative degrees or
-# rationals); argparse would otherwise read them as option strings.
-_VALUE_FLAGS = {"--degrees", "--class", "--ruled-areas", "--semistable"}
-
-
 def _normalize_argv(argv: list[str]) -> list[str]:
+    """Join "--flag -1..." into "--flag=-1...", since argparse reads a value
+    such as "-1,0" (a negative degree or rational) as an option string."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and re.match(r"^-\d", argv[i + 1]):
+        if tok.startswith("--") and i + 1 < len(argv) and re.match(r"^-\d", argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -433,7 +430,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 @functools.cache
 def _spec_parser() -> argparse.ArgumentParser:
-    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--spec")
     return pre
 
@@ -481,8 +478,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "blowdown" and args.convention is not None:
         print("notice: blowdown --convention has no effect and will be removed",
               file=sys.stderr)
-    for line in [json.dumps({"command": args.command, **payload})] if args.json else human:
-        print(line)
+    try:
+        for line in [json.dumps({"command": args.command, **payload})] if args.json else human:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull, so that the
+        # interpreter's flush at exit cannot raise again, and keep the code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -21,11 +21,11 @@ from pbcones.blowdown import (
 )
 from pbcones.bundles import (
     Decomposable,
+    SemiStable,
     SurfaceGenus,
     decomposable,
     degree,
     rank,
-    semi_stable,
     twist,
 )
 from pbcones.cohomology import (
@@ -205,7 +205,7 @@ def test_build_matching_triple_examples():
     assert cert.restricted_ratio == 2
 
     cert = build_matching_triple(divisor(1, -3, (1, 2)))
-    assert cert.model_bundle == semi_stable(2, -3, genus=1)
+    assert cert.model_bundle == SemiStable(2, -3, SurfaceGenus(1))
     assert forward_ratio(restrict_to_divisor(cert.kahler_class)) == 1
 
     cert = build_matching_triple(divisor(0, 2, (1, 1), areas=(1, 2)))

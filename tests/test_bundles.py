@@ -13,7 +13,6 @@ from pbcones.bundles import (
     degree,
     is_semistable,
     rank,
-    semi_stable,
     slope,
     sym_power,
     sym_rank_degree,
@@ -25,13 +24,13 @@ degree_lists = st.lists(st.integers(-8, 8), min_size=1, max_size=5)
 
 def test_slope_examples():
     assert slope(decomposable(1, 2)) == Fraction(3, 2)
-    assert slope(semi_stable(3, -4, genus=1)) == Fraction(-4, 3)
+    assert slope(SemiStable(3, -4, SurfaceGenus(1))) == Fraction(-4, 3)
     assert slope(decomposable(0, 0, 0)) == 0
 
 
 def test_twist_examples():
     assert twist(decomposable(0, -1), 1) == decomposable(1, 0)
-    assert twist(semi_stable(2, -3, genus=1), 2) == semi_stable(2, 1, genus=1)
+    assert twist(SemiStable(2, -3, SurfaceGenus(1)), 2) == SemiStable(2, 1, SurfaceGenus(1))
 
 
 @given(degree_lists, st.integers(-10, 10))
@@ -54,7 +53,7 @@ def test_sym_power_examples():
 
 def test_sym_power_rejects_semistable_and_bad_m():
     with pytest.raises(ValueError, match="opaque"):
-        sym_power(semi_stable(2, -2, genus=1), 2)
+        sym_power(SemiStable(2, -2, SurfaceGenus(1)), 2)
     with pytest.raises(ValueError):
         sym_power(decomposable(1), 0)
     # C(39, 20) ~ 6.9e10 summands: refused before any enumeration
@@ -101,7 +100,7 @@ def test_sym_power_of_balanced_is_balanced():
 def test_is_semistable_examples():
     assert is_semistable(decomposable(2, 2, 2))
     assert not is_semistable(decomposable(0, 1))
-    assert is_semistable(semi_stable(2, -3, genus=1))
+    assert is_semistable(SemiStable(2, -3, SurfaceGenus(1)))
 
 
 @given(degree_lists)

@@ -245,6 +245,10 @@ USAGE_ERRORS = [
     "cone --genus 1",
     # check flags follow the target
     "check --max-rank 2 ring",
+    # flags are spelled in full: no abbreviation stands for a flag
+    "ring --rank 2 --deg 2 --cl 1,0",
+    "ring --rank 2 --deg 2 --cl -1,0",
+    "check sympow --max-deg 1",
 ]
 
 
@@ -253,6 +257,68 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv.split()) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("ring --rank 2 --deg 2", "class", "-1,0.5"),
+    ("cone --degrees 0,2", "class", "1"),
+    ("blowdown --genus 0 --alpha -1", "class", "1,x"),
+    ("blowdown --genus 0 --alpha 2", "ruled-areas", "1/0,1"),
+    ("cone --genus 1", "semistable", "-2,x"),
+    ("bundle slope", "degrees", "1,,2"),
+    ("cone", "degrees", "-1,a"),
+])
+def test_bad_value_refusal_names_its_flag(tmp_path, capsys, command, flag, value):
+    # the flag's argparse type refuses the value, on the command line or
+    # in a spec file alike
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({flag.replace("-", "_"): value}))
+    refusals = []
+    for argv in (command.split() + [f"--{flag}", value],
+                 command.split() + ["--spec", str(spec)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        refusals.append(captured.err)
+    assert refusals[0] == refusals[1]
+    assert refusals[0].startswith(f"error: argument --{flag}: ")
+    assert refusals[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    ("ring --rank 2 --deg 2 --class 1,0.5",
+     "argument --class: malformed rational '0.5': expected p or p/q with q non-zero "
+     "and no spaces"),
+    ("cone --semistable 2 --genus 1",
+     "argument --semistable: expected two comma-separated numbers, got '2'"),
+    ("bundle slope --degrees 1,,2", "argument --degrees: malformed integer ''"),
+    # the library's refusal, the one text for a divisor with no class
+    ("blowdown --genus 0 --alpha 2",
+     "a surface-base divisor needs its class (or, for the sphere product, its ruling areas)"),
+    ("ring --rank 2 --deg 2 --cl 1,0", "the following arguments are required: --class"),
+    ("check sympow --max-deg 1", "unrecognized arguments: --max-deg 1"),
+])
+def test_refusal_text(capsys, argv, refusal):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("ring --rank 2 --deg -1 --class -1,-3/2 --json",
+     "ring --rank 2 --deg=-1 --class=-1,-3/2 --json"),
+    ("bundle twist --degrees -3,-1 -t -2", "bundle twist --degrees=-3,-1 -t -2"),
+    ("cone --degrees -2,-1 --class -1,2", "cone --degrees=-2,-1 --class=-1,2"),
+    ("blowdown --genus 0 --alpha -1 --class 1,3/2",
+     "blowdown --genus 0 --alpha=-1 --class 1,3/2"),
+])
+def test_negative_value_after_a_space_or_an_equals_sign(capsys, spaced, joined):
+    # every long flag takes "--flag -1,0" as "--flag=-1,0"
+    codes = [main(spaced.split())]
+    first = capsys.readouterr()
+    codes.append(main(joined.split()))
+    assert capsys.readouterr() == first
+    assert codes[0] == codes[1] != 2 and first.out and not first.err
 
 
 def test_ring_digit_guard_boundary(capsys):
@@ -420,6 +486,27 @@ def test_module_entry_point_refuses_in_one_line():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: unrecognized arguments: --fiber-rank 2\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_exit_code(unbuffered):
+    # a reader that leaves early (as "| true" does) gets no traceback: an
+    # unbuffered print or the flush of a buffered one meets a closed pipe
+    src = str(Path(pbcones.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "pbcones", "blowdown", "--genus", "0",
+                               "--alpha", "2", "--ruled-areas", "1,2"],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert "Exception ignored" not in done.stderr
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_spec_file_errors(tmp_path, capsys):

@@ -13,7 +13,6 @@ from pbcones.bundles import (
     decomposable,
     degree,
     rank,
-    semi_stable,
     sym_power,
     twist,
 )
@@ -73,13 +72,13 @@ def test_curve_cone_examples():
 
 
 def test_curve_cone_semistable():
-    cone = kahler_cone(semi_stable(2, -3, genus=1))
+    cone = kahler_cone(SemiStable(2, -3, SurfaceGenus(1)))
     assert [(r.l, r.eta) for r in cone.rays] == [(1, 0)]
     assert cone.exactness is Exactness.EXACT
     assert cone.boundary_slope == Q(-3, 2)
 
     # genus-0 semistable bundles are balanced splittings
-    cone0 = kahler_cone(semi_stable(2, 4, genus=0))
+    cone0 = kahler_cone(SemiStable(2, 4, SurfaceGenus(0)))
     assert [(r.l, r.eta) for r in cone0.rays] == [(1, 0), (2, 1)]
 
 
@@ -91,7 +90,7 @@ def test_kahler_membership_examples():
     assert kahler_membership(cls(b, 1, 1), b)
     assert not kahler_membership(cls(b, 1, 0), b)
 
-    s = semi_stable(2, -3, genus=1)
+    s = SemiStable(2, -3, SurfaceGenus(1))
     assert kahler_membership(cls(s, 1, 2), s)
     assert not kahler_membership(cls(s, 1, 1), s)  # -3 + 2 < 0
 
@@ -100,14 +99,14 @@ def test_kahler_membership_examples():
 
 
 def test_kahler_membership_mixed_sum():
-    mixed = SemistablePlusLine(semi_stable(2, -3, genus=1))
+    mixed = SemistablePlusLine(SemiStable(2, -3, SurfaceGenus(1)))
     cone = kahler_cone(mixed)
     assert cone.exactness is Exactness.SUFFICIENT_ONLY
     u = DivisorClass(1, 2, bundle_context(mixed))
     assert kahler_membership(u, mixed)  # y/x = 2 > 3/2
     assert not kahler_membership(DivisorClass(1, 1, bundle_context(mixed)), mixed)
     with pytest.raises(ValueError, match="unknown"):
-        kahler_cone(SemistablePlusLine(semi_stable(2, 3, genus=1)))
+        kahler_cone(SemistablePlusLine(SemiStable(2, 3, SurfaceGenus(1))))
 
 
 def test_kahler_membership_context_checks():
@@ -126,9 +125,10 @@ coordinate = st.one_of(st.just(Q(0)), st.builds(Q, big, st.integers(1, 10**12)))
 bundle_kinds = st.one_of(
     st.builds(lambda degs, g: Decomposable(tuple(degs), SurfaceGenus(g)),
               st.lists(big, min_size=1, max_size=6), st.integers(0, 2)),
-    st.builds(semi_stable, st.integers(1, 6), big, st.integers(1, 2)),
+    st.builds(lambda r, d, g: SemiStable(r, d, SurfaceGenus(g)),
+              st.integers(1, 6), big, st.integers(1, 2)),
     # a positive degree leaves the cone of V + O unknown
-    st.builds(lambda r, d, g: SemistablePlusLine(semi_stable(r, d, g)),
+    st.builds(lambda r, d, g: SemistablePlusLine(SemiStable(r, d, SurfaceGenus(g))),
               st.integers(1, 6), big, st.integers(1, 2)),
 )
 UNKNOWN_CONE = ("Kahler cone unknown: the trivial summand's slope is below the "
@@ -146,9 +146,9 @@ def _mismatch(ctx, b):
        st.one_of(st.none(), st.sampled_from([Q(-1, 10**12), Q(0), Q(1, 10**12)])))
 @example(decomposable(3, 5), Q(1, 7), Q(-3, 7), None)  # on the boundary
 @example(decomposable(-10**12, 0), Q(0), Q(1), None)  # x = 0
-@example(semi_stable(3, -7, 1), Q(3, 10**12), Q(7, 10**12), None)
-@example(SemistablePlusLine(semi_stable(2, 0, 1)), Q(5), Q(0), None)
-@example(SemistablePlusLine(semi_stable(2, 1, 1)), Q(1), Q(1), None)
+@example(SemiStable(3, -7, SurfaceGenus(1)), Q(3, 10**12), Q(7, 10**12), None)
+@example(SemistablePlusLine(SemiStable(2, 0, SurfaceGenus(1))), Q(5), Q(0), None)
+@example(SemistablePlusLine(SemiStable(2, 1, SurfaceGenus(1))), Q(1), Q(1), None)
 def test_kahler_membership_is_the_fraction_rule(b, x, y, boundary_shift):
     # x > 0 and s*x + y > 0 in Fractions, s read off each bundle kind here;
     # boundary_shift puts y at -s*x plus a shift of 0 or 10^-12
@@ -228,11 +228,11 @@ def test_membership_positive_on_sym_power_sections():
 
 def test_kahler_cone_ratio_examples():
     assert kahler_cone_ratio(decomposable(0, 2)) == 2
-    assert kahler_cone_ratio(semi_stable(2, -3, genus=1)) == 0
+    assert kahler_cone_ratio(SemiStable(2, -3, SurfaceGenus(1))) == 0
     assert kahler_cone_ratio(decomposable(4, 4, 4)) == 0
     # the half-plane of a semistable-plus-line sum is sufficient only
     with pytest.raises(ValueError):
-        kahler_cone_ratio(SemistablePlusLine(semi_stable(2, -3, genus=1)))
+        kahler_cone_ratio(SemistablePlusLine(SemiStable(2, -3, SurfaceGenus(1))))
 
 
 def test_genus0_semistable_equals_balanced_decomposable():
@@ -242,7 +242,7 @@ def test_genus0_semistable_equals_balanced_decomposable():
         for d in range(-8, 9):
             if d % r:
                 continue
-            s = semi_stable(r, d, genus=0)
+            s = SemiStable(r, d, SurfaceGenus(0))
             b = decomposable(*(d // r,) * r)
             cs, cb = kahler_cone(s), kahler_cone(b)
             assert cs.rays == cb.rays, (r, d)
@@ -263,14 +263,14 @@ def test_matching_bundle_examples():
     assert matching_bundle(3, 2, G0) == decomposable(1, 2)
     assert matching_bundle(3, 2, G1) == decomposable(1, 2, genus=1)
     assert matching_bundle(0, 4, G2).degrees == (0, 0, 0, 0)
-    assert matching_bundle(-3, 2, G1) == semi_stable(2, -3, genus=1)
+    assert matching_bundle(-3, 2, G1) == SemiStable(2, -3, SurfaceGenus(1))
 
 
 def test_restricted_ratio_examples():
     r = restricted_ratio(-3, 2, G0)
     assert r.value == 1 and r.achieving_bundle == decomposable(-2, -1)
     r = restricted_ratio(-3, 2, G1)
-    assert r.value == 0 and r.achieving_bundle == semi_stable(2, -3, genus=1)
+    assert r.value == 0 and r.achieving_bundle == SemiStable(2, -3, SurfaceGenus(1))
     r = restricted_ratio(5, 2, G0)
     assert r.value == 5 and r.achieving_bundle == decomposable(2, 3)
 
