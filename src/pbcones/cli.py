@@ -61,8 +61,11 @@ from .cones import (
 
 __all__ = ["main", "console_main"]
 
-# The denominator must hold a non-zero digit: p/0 is rejected here.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d*[1-9]\d*)?$")
+# ASCII digits only, matched in full (int() and Fraction() would also take
+# spaces, underscores and other scripts' digits).  The denominator must hold
+# a non-zero digit: p/0 is rejected here.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 # u^n holds x^(n-1); past this rank its digits outgrow any useful answer.
 MAX_RING_RANK = 1000
@@ -99,7 +102,7 @@ class _Parser(argparse.ArgumentParser):
 # Argparse types: each raises ArgumentTypeError, whose text argparse prints
 # after the flag's name (a plain ValueError would lose the text).
 def _rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}: expected p or "
                                          "p/q with q non-zero and no spaces")
     return Fraction(text)
@@ -107,9 +110,11 @@ def _rational(text: str) -> Fraction:
 
 def _int(text: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed integer {text!r}") from None
+        if _INT_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
 
 
 def _pair(text: str, parse=_rational) -> tuple:
@@ -357,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", parents=[common], help="ring invariants of a divisor class")
-    ring.add_argument("--rank", type=int, required=True,
+    ring.add_argument("--rank", type=_int, required=True,
                       help=f"fiber rank n, from 1 to {MAX_RING_RANK}")
-    ring.add_argument("--deg", type=int, required=True,
+    ring.add_argument("--deg", type=_int, required=True,
                       help="quotient-convention degree of the modeling bundle")
     ring.add_argument("--convention", choices=["quotient", "sub"], default="quotient")
-    ring.add_argument("--genus", type=int, default=0)
+    ring.add_argument("--genus", type=_int, default=0)
     ring.add_argument("--class", dest="class_xy", type=_pair, required=True, metavar="X,Y")
     ring.set_defaults(func=cmd_ring)
 
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = bundle_sub.add_parser(action, parents=[common], help=help_text)
         p.add_argument("--degrees", type=_degrees, required=True, metavar="a1,...,an")
         if int_flag is not None:
-            p.add_argument(int_flag, type=int, required=True)
+            p.add_argument(int_flag, type=_int, required=True)
         p.set_defaults(func=cmd_bundle)
 
     cone = sub.add_parser("cone", parents=[common], help="curve cone and Kahler cone")
@@ -383,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     bundle.add_argument("--degrees", type=_degrees, default=None, metavar="a1,...,an")
     bundle.add_argument("--semistable", type=functools.partial(_pair, parse=_int),
                         default=None, metavar="R,D")
-    cone.add_argument("--genus", type=int, default=0)
+    cone.add_argument("--genus", type=_int, default=0)
     cone.add_argument("--class", dest="class_xy", type=_pair, default=None, metavar="X,Y")
     cone.set_defaults(func=cmd_cone)
 
     blow = sub.add_parser("blowdown", parents=[common], help="dimension-6 blow-down verdict")
     blow.add_argument("--base", choices=["point", "surface"], default="surface")
-    blow.add_argument("--genus", type=int, default=None)
-    blow.add_argument("--alpha", type=int, default=None,
+    blow.add_argument("--genus", type=_int, default=None)
+    blow.add_argument("--alpha", type=_int, default=None,
                       help="signed normal self-intersection (quotient-convention "
                            "degree of the model bundle)")
     blow.add_argument("--class", dest="class_xy", type=_pair, default=None, metavar="X,Y",
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     for target, row in _CHECK_TARGETS.items():
         p = check_sub.add_parser(target, parents=[common], help=f"the {target} oracle sweep")
         for flag, size in row.items():
-            p.add_argument(flag, dest=size, type=int, default=None, metavar="N")
+            p.add_argument(flag, dest=size, type=_int, default=None, metavar="N")
         p.set_defaults(func=cmd_check)
 
     return parser

@@ -10,13 +10,19 @@ Reports are deterministic given seed and ranges and render as
 machine-readable lines
 
     CHECK <name> <input-digest> PASS|FAIL <detail>
+
+The ring and cone sweeps split their lines among the usable CPUs (see
+_in_shares); a report is the same byte for byte in any number of processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -45,6 +51,7 @@ _MAX_ORACLE_POWER = 8
 _MAX_SWEEP_BUNDLES = 10**5
 _MAX_SWEEP_DEGREES = 10**6
 _MAX_RING_CLASSES = 10**6
+_FORK_MIN_CASES = 20_000  # a fork costs about 10 ms, a ring case about 15 us
 
 
 class OracleGuardError(ValueError):
@@ -214,6 +221,49 @@ def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts:
             raise OracleGuardError(f"{sweep} sweep needs {name} >= 1, got {value}", name)
 
 
+def _in_shares(share, cases: int, units: int) -> list:
+    """[share(k, w) for k in range(w)]: share 0 runs here, and each other share
+    in one forked child that sends its result back through a pipe.  w is the
+    usable CPUs, at most units, and 1 (no fork) below _FORK_MIN_CASES cases,
+    without os.fork, or while another thread runs (a fork can deadlock it)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, units)
+    if (cases < _FORK_MIN_CASES or w < 2 or not hasattr(os, "fork")
+            or "threading" in sys.modules and sys.modules["threading"].active_count() > 1):
+        return [share(0, 1)]
+    children, results = [], []  # children: (pid, read end of its pipe)
+    try:
+        for k in range(1, w):
+            read, write = map(open, os.pipe(), ("rb", "wb"))
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit, never into the caller
+                try:
+                    read.close()
+                    write.write(marshal.dumps(share(k, w)))
+                    write.flush()
+                    os._exit(0)
+                except BaseException:  # its traceback goes to stderr, its failure to the parent
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(1)
+            write.close()
+            children.append((pid, read))
+        results = [share(0, w)] + [read.read() for _, read in children]
+    finally:
+        for pid, read in children:
+            read.close()
+            if not results:  # this process raised: end the children too
+                import signal
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for k, status in enumerate(statuses, 1):
+        if status:
+            raise RuntimeError(f"{share.__qualname__.partition('.')[0]} share {k} of {w} "
+                               f"exited with code {os.waitstatus_to_exitcode(status)}")
+    return results[:1] + [marshal.loads(data) for data in results[1:]]
+
+
 def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int = 10,
                samples: int = 50) -> CheckReport:
     """Compare the closed top-power formula with the brute ring oracle on
@@ -223,21 +273,29 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     if classes > _MAX_RING_CLASSES:
         raise OracleGuardError(f"ring sweep would sample {classes} classes, more than "
                                f"{_MAX_RING_CLASSES}")
+    contexts = [BundleContext(n, d, convention) for n in range(1, max_rank + 1)
+                for d in range(-max_abs_degree, max_abs_degree + 1)
+                for convention in (Convention.QUOTIENT, Convention.SUB)]
+
+    def share(k: int, w: int) -> list[int]:
+        """Mismatch counts of lines k, k + w, ...; every line's classes are
+        drawn, so a line checks the same classes in any share."""
+        rng, counts = random.Random(seed), []
+        for i, ctx in enumerate(contexts):
+            draws = [_random_fraction(rng) for _ in range(2 * samples)]
+            if i % w == k:
+                counts.append(sum(top_power(u) != brute_ring_power(u, ctx.rank) for u in
+                                  map(DivisorClass, draws[::2], draws[1::2], [ctx] * samples)))
+        return counts
+
+    shares = _in_shares(share, classes, len(contexts))
     lines = []
-    rng = random.Random(seed)
-    for n in range(1, max_rank + 1):
-        for d in range(-max_abs_degree, max_abs_degree + 1):
-            for convention in (Convention.QUOTIENT, Convention.SUB):
-                ctx = BundleContext(n, d, convention)
-                mismatches = 0
-                for _ in range(samples):
-                    u = DivisorClass(_random_fraction(rng), _random_fraction(rng), ctx)
-                    if top_power(u) != brute_ring_power(u, n):
-                        mismatches += 1
-                key = f"ring n={n} d={d} conv={convention.value} seed={seed} samples={samples}"
-                lines.append(_line("ring-top-power", key, mismatches == 0,
-                                   f"n={n} d={d} conv={convention.value} seed={seed} "
-                                   f"samples={samples} mismatches={mismatches}"))
+    for i, ctx in enumerate(contexts):
+        bad = shares[i % len(shares)][i // len(shares)]
+        about = (f"n={ctx.rank} d={ctx.degree} conv={ctx.convention.value} seed={seed} "
+                 f"samples={samples}")
+        lines.append(_line("ring-top-power", f"ring {about}", bad == 0,
+                           f"{about} mismatches={bad}"))
     return CheckReport(lines)
 
 
@@ -300,6 +358,15 @@ def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3, max_m: int = 5) -> Ch
     _guard_sweep_size("cone", max_rank, max_abs_degree, max_m)
     genus0 = SurfaceGenus(0)
     span = range(-max_abs_degree, max_abs_degree + 1)
-    return CheckReport(line for r in range(1, max_rank + 1)
-                       for degrees in combinations_with_replacement(span, r)
-                       for line in sample_cone_check(Decomposable(degrees, genus0), max_m).lines)
+    bundles = [Decomposable(degrees, genus0) for r in range(1, max_rank + 1)
+               for degrees in combinations_with_replacement(span, r)]
+
+    def share(k: int, w: int) -> list[tuple]:
+        # sample_cone_check gives one line per bundle
+        return [(line.name, line.digest, line.passed, line.detail) for b in bundles[k::w]
+                for line in sample_cone_check(b, max_m).lines]
+
+    grid = (GridSpec.x_max - GridSpec.x_min + 1) * (GridSpec.y_max - GridSpec.y_min + 1)
+    shares = _in_shares(share, len(bundles) * grid, len(bundles))
+    return CheckReport(CheckLine(*shares[i % len(shares)][i // len(shares)])
+                       for i in range(len(bundles)))

@@ -66,9 +66,11 @@ def criterion(name):
 
 
 # sha256 of the full acceptance-size reports, which the sweeps must render
-# byte for byte however their arithmetic is done.
+# byte for byte however their arithmetic is done and however many processes
+# check their lines.
 SYMPOW_REPORT_SHA256 = "98c5e3d5ec45ddb41696ad50ed9f25d9752a7d2dfed2986fd5f85e87b2512e02"
 CONE_REPORT_SHA256 = "e786da2d432df6bfc4162912fcbf15ab0a5d01bfcffc9f5441d756149e4102f7"
+RING_REPORT_SHA256 = "8beb0cdda6eaec1f360cec4279af77e15c8160e21ad6019a2cbd34de0f67bdf7"
 
 
 def sha256_of(report):
@@ -91,6 +93,7 @@ def test_ring_formula_equivalence():
         failures = [line.render() for line in report.lines if not line.passed]
         assert not failures, failures[:5]
         assert elapsed < 10.0, f"ring sweep took {elapsed:.2f}s"
+        assert sha256_of(report) == RING_REPORT_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -249,12 +250,18 @@ USAGE_ERRORS = [
     "ring --rank 2 --deg 2 --cl 1,0",
     "ring --rank 2 --deg 2 --cl -1,0",
     "check sympow --max-deg 1",
+    # numbers are ASCII digits in full: no spaces, newlines or underscores
+    # (each argv is read with shlex.split, so a quoted value keeps its spaces)
+    "bundle slope --degrees ' 1,1_0'",
+    "ring --rank 2 --deg 2 --class '1\n,0'",
+    "cone --semistable ' 2,-3 ' --genus 1",
+    "ring --rank ' 2' --deg 2 --class 1,0",
 ]
 
 
 def test_usage_errors_exit_2(capsys):
     for argv in USAGE_ERRORS:
-        assert main(argv.split()) == 2, argv
+        assert main(shlex.split(argv)) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
@@ -300,6 +307,33 @@ def test_bad_value_refusal_names_its_flag(tmp_path, capsys, command, flag, value
 ])
 def test_refusal_text(capsys, argv, refusal):
     assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["ring", "--rank", "two", "--deg", "2", "--class", "1,0"],
+     "argument --rank: malformed integer 'two'"),
+    (["ring", "--rank", " 2", "--deg", "2", "--class", "1,0"],
+     "argument --rank: malformed integer ' 2'"),
+    (["check", "ring", "--seed", "1_0"], "argument --seed: malformed integer '1_0'"),
+    (["bundle", "twist", "--degrees", "0,1", "-t", "٣"],
+     "argument -t: malformed integer '٣'"),
+    (["bundle", "slope", "--degrees", " 1,1_0"], "argument --degrees: malformed integer ' 1'"),
+    (["bundle", "slope", "--degrees", "1,1_0"], "argument --degrees: malformed integer '1_0'"),
+    (["cone", "--semistable", " 2,-3 ", "--genus", "1"],
+     "argument --semistable: malformed integer ' 2'"),
+    (["ring", "--rank", "2", "--deg", "2", "--class", "1\n,0"],
+     "argument --class: malformed rational '1\\n': expected p or p/q with q non-zero "
+     "and no spaces"),
+    (["ring", "--rank", "2", "--deg", "2", "--class", "1,1_0/3"],
+     "argument --class: malformed rational '1_0/3': expected p or p/q with q non-zero "
+     "and no spaces"),
+])
+def test_numbers_are_ascii_digits_in_full(capsys, argv, refusal):
+    # int() and Fraction() alone would take the spaces, the underscore, the
+    # trailing newline and the Arabic-Indic digit three
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
 

@@ -1,7 +1,10 @@
 import hashlib
 import math
+import os
 import random
 import re
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -276,3 +279,130 @@ def test_restricted_ratio_matches_enumerated_infimum():
             assert restricted_ratio(alpha, n, g0).value == least, (alpha, n)
             model = matching_bundle(alpha, n, g0).degrees
             assert infima[alpha][model] == least, (alpha, n, model)
+
+
+def _force_shares(monkeypatch) -> list:
+    """Split every ring and cone sweep into three shares, two of them forked,
+    whatever its size and the host's CPU count; returns the forks made."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(oracle, "_FORK_MIN_CASES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweeps_in_shares_render_the_same_bytes(monkeypatch):
+    cone = cone_sweep(2, 2).render()
+    forks = _force_shares(monkeypatch)
+    ring = ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).render()
+    assert hashlib.sha256(ring.encode("utf-8")).hexdigest() == (
+        "b03f11d66f6f35b503f3a3cdee873a02a8f339acacaf5c96b18f88bea6423bfd")
+    assert cone_sweep(2, 2).render() == cone
+    assert len(forks) == 4
+    _assert_no_child_left()
+
+
+def test_ring_shares_check_the_classes_of_their_lines(monkeypatch):
+    # Mark the first i % 7 + 1 classes of line i, from the one-process draw,
+    # and make the brute power off by one on the marked classes alone: a
+    # share that checked another line's classes, or a line that took another
+    # line's count, would show other mismatch counts.
+    drawn = {}
+    brute = brute_ring_power
+
+    def recording(u, k):
+        drawn.setdefault(u.ctx, []).append((u.x, u.y))
+        return brute(u, k)
+
+    monkeypatch.setattr(oracle, "brute_ring_power", recording)
+    sizes = dict(seed=4, max_rank=3, max_abs_degree=2, samples=7)
+    ring_sweep(**sizes)
+    marked = {ctx: set(xys[:i % 7 + 1]) for i, (ctx, xys) in enumerate(drawn.items())}
+    assert len(marked) == 3 * 5 * 2
+    monkeypatch.setattr(oracle, "brute_ring_power",
+                        lambda u, k: brute(u, k) + ((u.x, u.y) in marked[u.ctx]))
+    alone = ring_sweep(**sizes)
+    forks = _force_shares(monkeypatch)
+    shared = ring_sweep(**sizes)
+    assert len(forks) == 2
+    assert shared.render() == alone.render()
+    want = [sum(xy in marked[ctx] for xy in xys) for ctx, xys in drawn.items()]
+    counts = [int(line.detail.rsplit("mismatches=", 1)[1]) for line in shared.lines]
+    assert counts == want and len(set(counts)) == 7
+    _assert_no_child_left()
+
+
+def test_ring_sweep_negative_control_in_shares(monkeypatch):
+    forks = _force_shares(monkeypatch)
+    test_ring_sweep_negative_control(monkeypatch)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_a_share_that_fails_in_its_child_fails_the_sweep(monkeypatch, capfd):
+    parent = os.getpid()
+
+    def raises_in_a_child(b, max_m):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("in a child")
+        return sample_cone_check(b, max_m)
+
+    _force_shares(monkeypatch)
+    monkeypatch.setattr(oracle, "sample_cone_check", raises_in_a_child)
+    with pytest.raises(RuntimeError, match=r"^cone_sweep share 1 of 3 exited with code 1$"):
+        cone_sweep(2, 2)
+    assert "ZeroDivisionError: in a child" in capfd.readouterr().err
+    _assert_no_child_left()
+
+
+def test_a_share_that_fails_here_ends_the_children(monkeypatch):
+    # each child would sleep for a minute; the sweep must end them and raise
+    # the calling process's own error at once
+    parent = os.getpid()
+
+    def raises_here(u, k):
+        if os.getpid() == parent:
+            raise ZeroDivisionError("in the calling process")
+        time.sleep(60)
+        raise ZeroDivisionError("in a child")
+
+    _force_shares(monkeypatch)
+    monkeypatch.setattr(oracle, "brute_ring_power", raises_here)
+    start = time.monotonic()
+    with pytest.raises(ZeroDivisionError, match="in the calling process"):
+        ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def _fork_refused():
+    raise AssertionError("the sweep forked")
+
+
+def test_one_usable_cpu_never_forks(monkeypatch):
+    monkeypatch.setattr(oracle, "_FORK_MIN_CASES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _fork_refused)
+    assert ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).all_passed
+    assert cone_sweep(2, 2).all_passed
+
+
+def test_a_running_thread_stops_the_fork(monkeypatch):
+    _force_shares(monkeypatch)
+    monkeypatch.setattr(os, "fork", _fork_refused)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).all_passed
+        assert cone_sweep(2, 2).all_passed
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
