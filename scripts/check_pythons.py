@@ -8,8 +8,9 @@ looks for one working interpreter per minor version, newest patch first:
 ``$PYENV_ROOT/versions/3.1x.*/bin/python`` (``PYENV_ROOT`` defaults to
 ``~/.pyenv``), then ``python3.1x`` on PATH.  A candidate counts only if
 it starts and reports that minor version (a pyenv shim for a version that
-is not selected fails to start).  Under each one, run as ``-S`` with
-``PYTHONPATH=src``, it checks that:
+is not selected fails to start).  Under each one, run as ``-S -W error``
+with ``PYTHONPATH=src``, so that any warning (a fork ``DeprecationWarning``
+among them) fails it, it checks that:
 
 * the ``GOLDENS`` of ``tests/test_cli.py`` print the same bytes and exit
   code;
@@ -182,8 +183,8 @@ def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     failed = False
     for python, version in found.values():
-        done = subprocess.run([python, "-S", str(Path(__file__).resolve()), "--child"],
-                              env=env, capture_output=True, text=True)
+        done = subprocess.run([python, "-S", "-W", "error", str(Path(__file__).resolve()),
+                               "--child"], env=env, capture_output=True, text=True)
         *lines, last = done.stdout.splitlines() or ["{}"]
         ok = done.returncode == 0
         failed |= not ok

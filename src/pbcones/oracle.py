@@ -11,8 +11,9 @@ machine-readable lines
 
     CHECK <name> <input-digest> PASS|FAIL <detail>
 
-The ring and cone sweeps split their lines among the usable CPUs (see
-_in_shares); a report is the same byte for byte in any number of processes.
+The ring sweep draws every class once, in the calling process; the ring
+and cone sweeps check their lines on the usable CPUs, in line order (see
+_in_shares), so a report is the same byte for byte in any process count.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class GridSpec:
 
 def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
     """Check that Kahler membership forces positive pairing with every
-    enumerated multisection class bound a*l + m*eta, m from 1 to max_m.
+    enumerated multisection class bound a*l + m*eta, m from 1 to max_m, and
+    that a refused class pairs to at most 0 with the extremal section.
 
     Pairings are computed inline as a*x + m*y over the integer grid; the
     candidate degrees a come from the symmetric-power enumeration.
@@ -167,12 +169,15 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
     ctx = bundle_context(b)
     # each grid coordinate with its Fraction, built once per bundle
     ys = [(y, Fraction(y)) for y in range(GridSpec.y_min, GridSpec.y_max + 1)]
+    a1 = enumerate_sym_quotients(b, 1)[0]  # the extremal section is a1*l + eta
     tested = 0
     violations: list[str] = []
     for x in range(GridSpec.x_min, GridSpec.x_max + 1):
         fx = Fraction(x)
         for y, fy in ys:
             if not kahler_membership(DivisorClass(fx, fy, ctx), b):
+                if a1 * x + y > 0:  # nor is the fiber line a witness: it pairs to x >= 1
+                    violations.append(f"({x},{y}) is refused but pairs positively with every curve")
                 continue
             tested += 1
             for m, degs in section_degrees.items():
@@ -192,10 +197,10 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
 _SAMPLE_FRACTIONS = tuple(Fraction(p, q) for p in range(-9, 10) for q in range(1, 10))
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    """Fraction(rng.randint(-9, 9), rng.randint(1, 9)), from the same bits:
-    randint(a, b) draws a + r with r = getrandbits(k) for the bit length k
-    of b - a + 1, redrawn until r <= b - a."""
+def _random_index(rng: random.Random) -> int:
+    """The _SAMPLE_FRACTIONS index of Fraction(rng.randint(-9, 9),
+    rng.randint(1, 9)), from the same bits: randint(a, b) draws a + r with
+    r = getrandbits(k) for the bit length k of b - a + 1, redrawn until r <= b - a."""
     bits = rng.getrandbits
     p = bits(5)
     while p >= 19:
@@ -203,7 +208,7 @@ def _random_fraction(rng: random.Random) -> Fraction:
     q = bits(4)
     while q >= 9:
         q = bits(4)
-    return _SAMPLE_FRACTIONS[9 * p + q]
+    return 9 * p + q
 
 
 def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts: int) -> None:
@@ -221,16 +226,18 @@ def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts:
             raise OracleGuardError(f"{sweep} sweep needs {name} >= 1, got {value}", name)
 
 
-def _in_shares(share, cases: int, units: int) -> list:
-    """[share(k, w) for k in range(w)]: share 0 runs here, and each other share
-    in one forked child that sends its result back through a pipe.  w is the
-    usable CPUs, at most units, and 1 (no fork) below _FORK_MIN_CASES cases,
+def _in_shares(check, cases: int, *columns: list) -> list:
+    """list(map(check, *columns)), in item order.  With w usable CPUs, at
+    most the number of items, share k maps items k, k + w, ...: share 0
+    here, and each other share in one forked child that sends its results
+    back through a pipe.  w is 1 (no fork) below _FORK_MIN_CASES cases,
     without os.fork, or while another thread runs (a fork can deadlock it)."""
     affinity = getattr(os, "sched_getaffinity", None)
-    w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, units)
+    w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(columns[0]))
     if (cases < _FORK_MIN_CASES or w < 2 or not hasattr(os, "fork")
             or "threading" in sys.modules and sys.modules["threading"].active_count() > 1):
-        return [share(0, 1)]
+        return list(map(check, *columns))
+    shares = [[column[k::w] for column in columns] for k in range(w)]
     children, results = [], []  # children: (pid, read end of its pipe)
     try:
         for k in range(1, w):
@@ -239,7 +246,7 @@ def _in_shares(share, cases: int, units: int) -> list:
             if pid == 0:  # the child leaves by os._exit, never into the caller
                 try:
                     read.close()
-                    write.write(marshal.dumps(share(k, w)))
+                    write.write(marshal.dumps(list(map(check, *shares[k]))))
                     write.flush()
                     os._exit(0)
                 except BaseException:  # its traceback goes to stderr, its failure to the parent
@@ -249,7 +256,7 @@ def _in_shares(share, cases: int, units: int) -> list:
                     os._exit(1)
             write.close()
             children.append((pid, read))
-        results = [share(0, w)] + [read.read() for _, read in children]
+        results = [list(map(check, *shares[0]))] + [read.read() for _, read in children]
     finally:
         for pid, read in children:
             read.close()
@@ -259,9 +266,10 @@ def _in_shares(share, cases: int, units: int) -> list:
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for k, status in enumerate(statuses, 1):
         if status:
-            raise RuntimeError(f"{share.__qualname__.partition('.')[0]} share {k} of {w} "
+            raise RuntimeError(f"{check.__qualname__.partition('.')[0]} share {k} of {w} "
                                f"exited with code {os.waitstatus_to_exitcode(status)}")
-    return results[:1] + [marshal.loads(data) for data in results[1:]]
+    results[1:] = map(marshal.loads, results[1:])
+    return [results[i % w][i // w] for i in range(len(columns[0]))]
 
 
 def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int = 10,
@@ -276,22 +284,16 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     contexts = [BundleContext(n, d, convention) for n in range(1, max_rank + 1)
                 for d in range(-max_abs_degree, max_abs_degree + 1)
                 for convention in (Convention.QUOTIENT, Convention.SUB)]
+    rng = random.Random(seed)
+    drawn = [bytes([_random_index(rng) for _ in range(2 * samples)]) for _ in contexts]
 
-    def share(k: int, w: int) -> list[int]:
-        """Mismatch counts of lines k, k + w, ...; every line's classes are
-        drawn, so a line checks the same classes in any share."""
-        rng, counts = random.Random(seed), []
-        for i, ctx in enumerate(contexts):
-            draws = [_random_fraction(rng) for _ in range(2 * samples)]
-            if i % w == k:
-                counts.append(sum(top_power(u) != brute_ring_power(u, ctx.rank) for u in
-                                  map(DivisorClass, draws[::2], draws[1::2], [ctx] * samples)))
-        return counts
+    def check(ctx: BundleContext, indices: bytes) -> int:
+        draws = [_SAMPLE_FRACTIONS[i] for i in indices]
+        return sum(top_power(u) != brute_ring_power(u, ctx.rank) for u in
+                   map(DivisorClass, draws[::2], draws[1::2], [ctx] * samples))
 
-    shares = _in_shares(share, classes, len(contexts))
     lines = []
-    for i, ctx in enumerate(contexts):
-        bad = shares[i % len(shares)][i // len(shares)]
+    for ctx, bad in zip(contexts, _in_shares(check, classes, contexts, drawn)):
         about = (f"n={ctx.rank} d={ctx.degree} conv={ctx.convention.value} seed={seed} "
                  f"samples={samples}")
         lines.append(_line("ring-top-power", f"ring {about}", bad == 0,
@@ -361,12 +363,9 @@ def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3, max_m: int = 5) -> Ch
     bundles = [Decomposable(degrees, genus0) for r in range(1, max_rank + 1)
                for degrees in combinations_with_replacement(span, r)]
 
-    def share(k: int, w: int) -> list[tuple]:
-        # sample_cone_check gives one line per bundle
-        return [(line.name, line.digest, line.passed, line.detail) for b in bundles[k::w]
-                for line in sample_cone_check(b, max_m).lines]
+    def check(b: Decomposable) -> tuple:
+        line, = sample_cone_check(b, max_m).lines
+        return line.name, line.digest, line.passed, line.detail
 
     grid = (GridSpec.x_max - GridSpec.x_min + 1) * (GridSpec.y_max - GridSpec.y_min + 1)
-    shares = _in_shares(share, len(bundles) * grid, len(bundles))
-    return CheckReport(CheckLine(*shares[i % len(shares)][i // len(shares)])
-                       for i in range(len(bundles)))
+    return CheckReport(CheckLine(*line) for line in _in_shares(check, len(bundles) * grid, bundles))

@@ -256,6 +256,8 @@ USAGE_ERRORS = [
     "ring --rank 2 --deg 2 --class '1\n,0'",
     "cone --semistable ' 2,-3 ' --genus 1",
     "ring --rank ' 2' --deg 2 --class 1,0",
+    # digits past what int() converts (sys.get_int_max_str_digits())
+    "ring --rank " + "1" * 5000 + " --deg 2 --class 1,0",
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbcones import oracle
+from pbcones import cones, oracle
 from pbcones.cohomology import BundleContext, Convention, DivisorClass, top_power
 from pbcones.bundles import SurfaceGenus, decomposable, sym_power
 from pbcones.cones import matching_bundle, restricted_ratio
@@ -75,7 +75,8 @@ def test_top_power_matches_brute_ring_power(n, d, convention, x, y):
 def test_random_fraction_keeps_the_randint_stream():
     rng, twin = random.Random(7), random.Random(7)
     for _ in range(10_000):
-        assert oracle._random_fraction(rng) == Q(twin.randint(-9, 9), twin.randint(1, 9))
+        assert oracle._SAMPLE_FRACTIONS[oracle._random_index(rng)] == Q(twin.randint(-9, 9),
+                                                                        twin.randint(1, 9))
     assert rng.getstate() == twin.getstate()
 
 
@@ -219,6 +220,21 @@ def test_sample_cone_check_negative_control(monkeypatch):
     report = sample_cone_check(decomposable(0, 2))
     assert not report.all_passed
     assert "FAIL" in report.render()
+
+
+def test_sample_cone_check_refused_class_negative_control(monkeypatch):
+    # a Kahler slope one below the least degree refuses the classes with
+    # -a1*x < y <= (1 - a1)*x, which pair positively with the extremal
+    # section and the fiber line alike; only a1 = -5 leaves none on the grid
+    monkeypatch.setattr(cones, "_kahler_slope", lambda b: (min(b.degrees) - 1, 1))
+    report = sample_cone_check(decomposable(0, 2))
+    assert not report.all_passed
+    assert report.lines[0].detail.endswith(
+        " first=(1,1) is refused but pairs positively with every curve"), report.render()
+    assert sample_cone_check(decomposable(-5, 2)).all_passed
+    report = cone_sweep(2, 2)
+    assert len(report.lines) == 5 + 15
+    assert not any(line.passed for line in report.lines), report.render()
 
 
 def test_sympow_sweep_negative_control(monkeypatch):
@@ -406,3 +422,56 @@ def test_a_running_thread_stops_the_fork(monkeypatch):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def _drawn_classes_digest(monkeypatch, out) -> str:
+    """sha256 of the classes ring_sweep(seed=1, max_rank=3, max_abs_degree=2,
+    samples=20) checks, one "n d convention x y" row each, in line order.
+    Each process writes the classes it checks to its own file in out."""
+    out.mkdir()
+    brute = brute_ring_power
+
+    def recording(u, k):
+        with open(out / str(os.getpid()), "a", encoding="utf-8") as rows:
+            rows.write(f"{u.ctx.rank} {u.ctx.degree} {u.ctx.convention.value} {u.x} {u.y}\n")
+        return brute(u, k)
+
+    monkeypatch.setattr(oracle, "brute_ring_power", recording)
+    ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20)
+    lines = {}
+    for path in out.iterdir():
+        for row in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            n, d, convention, _ = row.split(" ", 3)
+            lines.setdefault((int(n), int(d), convention), []).append(row)
+    assert len(lines) == 3 * 5 * 2 and {len(rows) for rows in lines.values()} == {20}
+    text = "".join(row for line in sorted(lines) for row in lines[line])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_ring_sweep_drawn_classes_are_pinned(monkeypatch, tmp_path):
+    # sha256 of the classes the sweep checked before each class was drawn
+    # once in the calling process; one process and three shares alike
+    alone = _drawn_classes_digest(monkeypatch, tmp_path / "alone")
+    forks = _force_shares(monkeypatch)
+    shared = _drawn_classes_digest(monkeypatch, tmp_path / "shared")
+    assert len(forks) == 2
+    assert alone == shared == (
+        "154fbdd413827f99d2f3f7d73ad554e66b9e4c1f625bf6f8d7cd2cadd7028150")
+    _assert_no_child_left()
+
+
+def test_no_child_draws_a_class(monkeypatch):
+    parent, index = os.getpid(), oracle._random_index
+
+    def in_the_parent(rng):
+        if os.getpid() != parent:
+            raise AssertionError("a child drew a class")
+        return index(rng)
+
+    monkeypatch.setattr(oracle, "_random_index", in_the_parent)
+    forks = _force_shares(monkeypatch)
+    ring = ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).render()
+    assert hashlib.sha256(ring.encode("utf-8")).hexdigest() == (
+        "b03f11d66f6f35b503f3a3cdee873a02a8f339acacaf5c96b18f88bea6423bfd")
+    assert len(forks) == 2
+    _assert_no_child_left()
