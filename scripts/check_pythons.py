@@ -14,6 +14,10 @@ among them) fails it, it checks that:
 
 * the ``GOLDENS`` of ``tests/test_cli.py`` print the same bytes and exit
   code;
+* in fresh ``-S -W error`` processes, each ``UNLOADED_AFTER`` command of
+  ``tests/test_cli.py`` leaves its modules unloaded, and each
+  ``LOADED_BY_IMPORT`` statement loads just its pbcones modules, as read by
+  that file's ``LOADED_PROBE``;
 * every ``USAGE_ERRORS`` argv of ``tests/test_cli.py``, read with
   ``shlex.split``, exits 2 and prints one ``error: `` line on stderr and
   nothing on stdout;
@@ -98,6 +102,31 @@ def _spawn_digests(main, seeds: tuple[int, ...], count: int) -> dict[str, str]:
     return {label: h.hexdigest() for label, h in digests.items()}
 
 
+def _startup_failures(probe: str, unloaded_after: dict, loaded_by_import: list) -> list[str]:
+    """The start-up module checks of tests/test_cli.py, each statement run in
+    a fresh process of this interpreter."""
+    failures = []
+
+    def loaded(statement: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-S", "-W", "error", "-c",
+                               probe.format(statement)], capture_output=True, text=True)
+        if done.returncode != 0:
+            failures.append(f"start-up {statement!r}: exit {done.returncode}, "
+                            f"stderr {done.stderr[-300:]!r}")
+            return set()
+        return set(done.stdout.splitlines()[-1].split())
+
+    for argv, unloaded in unloaded_after.items():
+        extra = loaded(f"from pbcones.cli import main; main({argv.split()!r})") & set(unloaded)
+        if extra:
+            failures.append(f"start-up {argv!r} loaded {sorted(extra)}")
+    for statement, library in loaded_by_import:
+        got = sorted(m for m in loaded(statement) if m.split(".")[0] == "pbcones")
+        if got != ["pbcones", *(f"pbcones.{m}" for m in library)]:
+            failures.append(f"start-up {statement!r} loaded {got}")
+    return failures
+
+
 def child() -> int:
     """Run every check in this interpreter; print one line per failure and
     a last line of JSON counts."""
@@ -109,7 +138,10 @@ def child() -> int:
         for name in ("test_cli", "test_acceptance", "test_cli_spawn_digest"))
     goldens = _constant(test_cli, "GOLDENS")
     usage_errors = _constant(test_cli, "USAGE_ERRORS")
-    failures = []
+    probe, unloaded_after, loaded_by_import = (
+        _constant(test_cli, name)
+        for name in ("LOADED_PROBE", "UNLOADED_AFTER", "LOADED_BY_IMPORT"))
+    failures = _startup_failures(probe, unloaded_after, loaded_by_import)
     for argv, expected, want in goldens:
         got = _run_main(main, argv.split())
         if got != (want, expected + "\n", ""):
@@ -144,6 +176,7 @@ def child() -> int:
     for failure in failures:
         print(failure)
     print(json.dumps({"goldens": len(goldens), "usage_errors": len(usage_errors),
+                      "startup": len(unloaded_after) + len(loaded_by_import),
                       "digests": len(reports), "spawn_argv": len(seeds) * count,
                       "ring_sweep_s": round(ring_s, 2), "failures": len(failures)}))
     return 1 if failures else 0

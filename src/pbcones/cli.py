@@ -8,7 +8,9 @@ mathematical verdict, 2 usage or input error, which prints one
 "error: ..." line on stderr whether argparse or a command refused.
 
 Each cmd_* is pure: it reads values its flags' argparse types parsed, returns
-(payload, human lines, exit code), and main alone prints.
+(payload, human lines, exit code), and main alone prints.  Each binds the
+library names it uses when called, none at import: a command loads only the
+modules it runs, and one call never mixes two imports of a library module.
 
 Degrees passed via --deg/--alpha are quotient-convention degrees; with
 ring --convention sub the same number is the normal type of the
@@ -24,40 +26,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-
-from .blowdown import (
-    ExceptionalDivisorData,
-    VerdictKind,
-    blowdown_verdict_dim6,
-)
-from .bundles import (
-    Decomposable,
-    SemiStable,
-    SurfaceGenus,
-    degree,
-    is_semistable,
-    rank,
-    slope,
-    sym_power,
-    twist,
-)
-from .cohomology import (
-    BundleContext,
-    Convention,
-    DivisorClass,
-    _half_plane,
-    eta_class,
-    line_class,
-    pair,
-    ratio,
-    top_power,
-    topological_type,
-)
-from .cones import (
-    kahler_cone,
-    kahler_cone_ratio,
-    kahler_membership,
-)
 
 __all__ = ["main", "console_main"]
 
@@ -133,6 +101,7 @@ def _class_json(x: Fraction, y: Fraction) -> dict:
 
 
 def _bundle_json(b) -> dict:
+    from .bundles import Decomposable
     if isinstance(b, Decomposable):
         return {"kind": "decomposable", "degrees": list(b.degrees)}
     return {"kind": "semistable", "rank": b.rank, "degree": b.degree}
@@ -142,6 +111,10 @@ def _bundle_json(b) -> dict:
 
 
 def cmd_ring(args) -> CommandResult:
+    from .bundles import SurfaceGenus
+    from .cohomology import (BundleContext, Convention, DivisorClass, _half_plane, eta_class,
+                             line_class, pair, ratio, top_power, topological_type)
+
     if not 1 <= args.rank <= MAX_RING_RANK:
         raise UsageError(f"rank must be between 1 and {MAX_RING_RANK}, got {args.rank}")
     conv = Convention(args.convention)
@@ -200,6 +173,9 @@ def cmd_ring(args) -> CommandResult:
 
 
 def cmd_bundle(args) -> CommandResult:
+    from .bundles import (Decomposable, SurfaceGenus, degree, is_semistable, rank, slope,
+                          sym_power, twist)
+
     b = Decomposable(args.degrees, SurfaceGenus(0))
     payload = {"action": args.action, "input": list(args.degrees)}
     if args.action == "sympow":
@@ -224,6 +200,10 @@ def cmd_bundle(args) -> CommandResult:
 
 
 def cmd_cone(args) -> CommandResult:
+    from .bundles import Decomposable, SemiStable, SurfaceGenus
+    from .cohomology import DivisorClass
+    from .cones import kahler_cone, kahler_cone_ratio, kahler_membership
+
     genus = SurfaceGenus(args.genus)
     if args.degrees is not None:
         b = Decomposable(args.degrees, genus)
@@ -265,6 +245,8 @@ def cmd_cone(args) -> CommandResult:
 
 
 def cmd_blowdown(args) -> CommandResult:
+    from .blowdown import ExceptionalDivisorData, VerdictKind, blowdown_verdict_dim6
+
     if args.base == "point":
         surface_flags = (("--genus", args.genus), ("--alpha", args.alpha),
                          ("--class", args.class_xy), ("--ruled-areas", args.ruled_areas))
@@ -316,8 +298,6 @@ def cmd_blowdown(args) -> CommandResult:
 
 def cmd_check(args) -> CommandResult:
     row = _CHECK_TARGETS[args.target]
-    # Only check needs the oracle (and its hashlib and random); importing it
-    # here keeps it out of every other command's start-up.
     from . import oracle
 
     try:
@@ -476,7 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(_expand_spec(list(argv)))
         payload, human, code = args.func(args)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+        # one line, also where the message echoes an argument's line break
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(err))
+        print(f"error: {text}", file=sys.stderr)
         return 2
     except SystemExit:  # only --help exits; every refusal is a UsageError
         return 0

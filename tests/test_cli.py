@@ -254,6 +254,7 @@ USAGE_ERRORS = [
     # (each argv is read with shlex.split, so a quoted value keeps its spaces)
     "bundle slope --degrees ' 1,1_0'",
     "ring --rank 2 --deg 2 --class '1\n,0'",
+    "bundle slope --degrees 0 '\n'",
     "cone --semistable ' 2,-3 ' --genus 1",
     "ring --rank ' 2' --deg 2 --class 1,0",
     # digits past what int() converts (sys.get_int_max_str_digits())
@@ -464,6 +465,53 @@ def test_cli_import_leaves_typing_unloaded():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n", done.stdout
+
+
+# Run as `python -S -c`, so that site's .pth hooks load nothing themselves, a
+# statement and then a last stdout line naming every module loaded.
+LOADED_PROBE = "import sys\n{}\nprint(' '.join(sorted(sys.modules)))"
+# What a command leaves unloaded: each loads only the library modules it
+# runs, and only blowdown pays for dataclasses and the inspect it imports.
+UNLOADED_AFTER = {
+    "ring --rank 3 --deg -1 --class 1,2/3": ["dataclasses", "inspect", "pbcones.blowdown"],
+    "bundle sympow --degrees 0,1 -m 2": ["dataclasses", "inspect", "pbcones.blowdown",
+                                         "pbcones.cohomology", "pbcones.cones"],
+    "cone --degrees 0,1 --class 1,1": ["dataclasses", "inspect", "pbcones.blowdown"],
+}
+# The library modules an import loads: what the imported module imports, and
+# for an exported name what its own module imports; never all four on a lookup.
+LOADED_BY_IMPORT = [
+    ("import pbcones", []),
+    ("from pbcones import cli", ["cli"]),
+    ("from pbcones import oracle", ["bundles", "cohomology", "cones", "oracle"]),
+    ("from pbcones import Decomposable", ["bundles"]),
+    ("from pbcones import DivisorClass", ["bundles", "cohomology"]),
+    ("from pbcones import kahler_cone", ["bundles", "cohomology", "cones"]),
+    ("from pbcones import VerdictKind", ["blowdown", "bundles", "cohomology", "cones"]),
+]
+
+
+def _loaded_after(statement: str) -> set[str]:
+    src = str(Path(pbcones.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", LOADED_PROBE.format(statement)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", sorted(UNLOADED_AFTER))
+def test_a_command_loads_only_the_modules_it_runs(argv):
+    loaded = _loaded_after(f"from pbcones.cli import main; main({argv.split()!r})")
+    assert "pbcones.cli" in loaded
+    assert not loaded & set(UNLOADED_AFTER[argv])
+
+
+@pytest.mark.parametrize("statement, library", LOADED_BY_IMPORT,
+                         ids=[statement for statement, _ in LOADED_BY_IMPORT])
+def test_an_import_loads_only_what_its_module_imports(statement, library):
+    loaded = _loaded_after(statement)
+    assert sorted(m for m in loaded if m.split(".")[0] == "pbcones") == [
+        "pbcones", *(f"pbcones.{m}" for m in library)]
 
 
 def test_spec_file_mode(tmp_path, capsys):

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from pbcones.cli import main
 
 small_int = st.integers(-3, 9).map(str)
+# sweep sizes around each size's least value; at 3 a sweep takes milliseconds
+size = st.integers(-3, 3).map(str)
 number = st.one_of(small_int, st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 4)))
 pair = st.builds("{},{}".format, number, number)
 degrees = st.lists(small_int, max_size=5).map(",".join)
@@ -37,6 +39,10 @@ FLAGS = {
     "blowdown": {"--base": st.sampled_from(["point", "surface"]), "--genus": small_int,
                  "--alpha": small_int, "--class": pair,
                  "--ruled-areas": pair, "--convention": st.sampled_from(["sub", "quotient"])},
+    "check ring": {"--seed": small_int, "--max-rank": size, "--max-degree": size,
+                   "--samples": size},
+    "check sympow": {"--max-rank": size, "--max-degree": size, "--max-m": size},
+    "check cone": {"--max-rank": size, "--max-degree": size, "--max-m": size},
 }
 # The flags a query needs to get past usage checks; drawn half the time.
 REQUIRED = {"ring": ("--rank", "--deg", "--class"), "bundle sympow": ("--degrees", "-m"),
