@@ -28,9 +28,11 @@ among them) fails it, it checks that:
   digests of exit codes and stdout (perfbench/ is imported with bytecode
   writing off, and the spec files go to a temporary directory);
 * the acceptance ``ring_sweep(seed=1, samples=1000)`` passes within its
-  10 s bound; the time is printed;
-* no child process is left after the sweeps, which split their lines
-  among forked children on a host with more than one usable CPU.
+  10 s bound; its time, and those of the acceptance sympow and cone
+  sweeps, are printed;
+* no child process is left after the sweeps, which split their lines (the
+  sympow sweep its bundles) among forked children on a host with more
+  than one usable CPU.
 
 It prints each interpreter it ran with its result, and each minor version
 it did not find.  The exit code is 1 when a check failed or no
@@ -151,15 +153,18 @@ def child() -> int:
         code, out, err = _run_main(main, shlex.split(argv))
         if not (code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1):
             failures.append(f"usage error {argv[:60]!r}: exit {code}, stderr {err!r}")
-    start = time.perf_counter()
-    ring = oracle.ring_sweep(seed=1, samples=1000)
-    ring_s = time.perf_counter() - start
-    if not ring.all_passed or ring_s >= RING_SWEEP_BOUND_S:
+    sweeps = {"ring": (oracle.ring_sweep, dict(seed=1, samples=1000)),
+              "sympow": (oracle.sympow_sweep, dict(max_rank=4, max_abs_degree=5, max_m=6)),
+              "cone": (oracle.cone_sweep, dict(max_rank=4, max_abs_degree=5))}
+    reports, walls = {}, {}
+    for name, (sweep, sizes) in sweeps.items():
+        start = time.perf_counter()
+        reports[f"{name.upper()}_REPORT_SHA256"] = sweep(**sizes)
+        walls[f"{name}_sweep_s"] = time.perf_counter() - start
+    ring = reports["RING_REPORT_SHA256"]
+    if not ring.all_passed or walls["ring_sweep_s"] >= RING_SWEEP_BOUND_S:
         failures.append(f"ring_sweep(seed=1, samples=1000): all_passed {ring.all_passed} "
-                        f"in {ring_s:.2f} s, bound {RING_SWEEP_BOUND_S} s")
-    reports = {"SYMPOW_REPORT_SHA256": oracle.sympow_sweep(max_rank=4, max_abs_degree=5, max_m=6),
-               "CONE_REPORT_SHA256": oracle.cone_sweep(max_rank=4, max_abs_degree=5),
-               "RING_REPORT_SHA256": ring}
+                        f"in {walls['ring_sweep_s']:.2f} s, bound {RING_SWEEP_BOUND_S} s")
     for name, report in reports.items():
         digest = hashlib.sha256(report.render().encode("utf-8")).hexdigest()
         if digest != _constant(test_acceptance, name):
@@ -178,7 +183,8 @@ def child() -> int:
     print(json.dumps({"goldens": len(goldens), "usage_errors": len(usage_errors),
                       "startup": len(unloaded_after) + len(loaded_by_import),
                       "digests": len(reports), "spawn_argv": len(seeds) * count,
-                      "ring_sweep_s": round(ring_s, 2), "failures": len(failures)}))
+                      **{name: round(s, 2) for name, s in walls.items()},
+                      "failures": len(failures)}))
     return 1 if failures else 0
 
 

@@ -11,9 +11,9 @@ machine-readable lines
 
     CHECK <name> <input-digest> PASS|FAIL <detail>
 
-The ring sweep draws every class once, in the calling process; the ring
-and cone sweeps check their lines on the usable CPUs, in line order (see
-_in_shares), so a report is the same byte for byte in any process count.
+The ring sweep draws each class once, in the calling process.  Each sweep
+checks its items (ring and cone lines, sympow bundles) on the usable CPUs in
+item order (_in_shares), so a report is byte-identical in any process count.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ _MAX_ORACLE_POWER = 8
 _MAX_SWEEP_BUNDLES = 10**5
 _MAX_SWEEP_DEGREES = 10**6
 _MAX_RING_CLASSES = 10**6
-_FORK_MIN_CASES = 20_000  # a fork costs about 10 ms, a ring case about 15 us
+# A case is one unit of a sweep's work: a ring class (about 15 us), a cone grid
+# class (8 us) or a sympow summand degree (1.3 us).  A fork costs about 10 ms.
+_FORK_MIN_CASES = 20_000
 
 
 class OracleGuardError(ValueError):
@@ -110,13 +112,17 @@ def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
     time), then a term with F^2 is discarded, and what is left integrates
     to its coefficient if it is the point class h^{n-1}F and to 0 if not.
     """
+    return Fraction(*_brute_ring_ints(u, k))
+
+
+def _brute_ring_ints(u: DivisorClass, k: int) -> tuple[int, int]:
+    """brute_ring_power(u, k) as the integers (numerator, (qx*qy)**k), unreduced."""
     n = u.ctx.rank
     if k > n:
         raise OracleGuardError(f"brute ring power only defined up to the rank ({n}), got {k}")
     e = u.ctx.top_coefficient
     qx, qy = u.x.denominator, u.y.denominator
     ax, ay = u.x.numerator * qy, u.y.numerator * qx
-
     total = 0
     for j in range(k + 1):
         a, b = k - j, j
@@ -127,7 +133,7 @@ def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
             continue
         if a == n - 1 and b == 1:  # the point class
             total += c
-    return Fraction(total, (qx * qy) ** k)
+    return total, (qx * qy) ** k
 
 
 def enumerate_sym_quotients(b: Decomposable, m: int) -> list[int]:
@@ -212,9 +218,12 @@ def _random_index(rng: random.Random) -> int:
 
 
 def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts: int) -> None:
-    """Refuse sizes that leave a sweep nothing to check, and ranks past the
-    oracle's cap: max_rank from 1 to the cap, max_abs_degree at least 0,
-    and every count (samples, powers) at least 1."""
+    """Refuse a size that is not an int or is a bool, sizes that leave a sweep
+    nothing to check, and ranks past the oracle's cap: max_rank from 1 to the
+    cap, max_abs_degree at least 0, every count (samples, powers) at least 1."""
+    for name, value in dict(max_rank=max_rank, max_abs_degree=max_abs_degree, **counts).items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise OracleGuardError(f"{sweep} sweep needs an int {name}, got {value!r}", name)
     if not 1 <= max_rank <= _MAX_ORACLE_RANK:
         raise OracleGuardError(f"{sweep} sweep needs max_rank from 1 to {_MAX_ORACLE_RANK}, "
                                f"got {max_rank}", "max_rank")
@@ -230,7 +239,8 @@ def _in_shares(check, cases: int, *columns: list) -> list:
     """list(map(check, *columns)), in item order.  With w usable CPUs, at
     most the number of items, share k maps items k, k + w, ...: share 0
     here, and each other share in one forked child that sends its results
-    back through a pipe.  w is 1 (no fork) below _FORK_MIN_CASES cases,
+    back through a pipe.  cases is the caller's count of its work, in the
+    unit stated at _FORK_MIN_CASES; w is 1 (no fork) below that many cases,
     without os.fork, or while another thread runs (a fork can deadlock it)."""
     affinity = getattr(os, "sched_getaffinity", None)
     w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(columns[0]))
@@ -288,9 +298,11 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     drawn = [bytes([_random_index(rng) for _ in range(2 * samples)]) for _ in contexts]
 
     def check(ctx: BundleContext, indices: bytes) -> int:
-        draws = [_SAMPLE_FRACTIONS[i] for i in indices]
-        return sum(top_power(u) != brute_ring_power(u, ctx.rank) for u in
-                   map(DivisorClass, draws[::2], draws[1::2], [ctx] * samples))
+        draws, bad = [_SAMPLE_FRACTIONS[i] for i in indices], 0
+        for u in map(DivisorClass, draws[::2], draws[1::2], [ctx] * samples):
+            top, (num, den) = top_power(u), _brute_ring_ints(u, ctx.rank)
+            bad += top.numerator * den != num * top.denominator  # top == num / den
+        return bad
 
     lines = []
     for ctx, bad in zip(contexts, _in_shares(check, classes, contexts, drawn)):
@@ -301,14 +313,14 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     return CheckReport(lines)
 
 
-def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_m: int) -> None:
-    """Refuse what _guard_least_sizes refuses; then count the degree
-    multisets a sweep walks, and the summand degrees of their symmetric
-    powers up to max_m, before walking them; then refuse a power past the
-    oracle's cap."""
+def _sweep_bundles(sweep: str, max_rank: int, max_abs_degree: int, max_m: int) -> tuple:
+    """(bundles, degrees): every genus-0 bundle in range, rank by rank in
+    combinations_with_replacement order, and the summand-degree count of their
+    powers up to max_m.  Refuses what _guard_least_sizes refuses, then too
+    many bundles or degrees before building any, then a power past the cap."""
     _guard_least_sizes(sweep, max_rank, max_abs_degree, max_m=max_m)
-    span = 2 * max_abs_degree + 1
-    bundles = {r: math.comb(span + r - 1, r) for r in range(1, max_rank + 1)}
+    span, genus0 = range(-max_abs_degree, max_abs_degree + 1), SurfaceGenus(0)
+    bundles = {r: math.comb(len(span) + r - 1, r) for r in range(1, max_rank + 1)}
     if sum(bundles.values()) > _MAX_SWEEP_BUNDLES:
         raise OracleGuardError(f"{sweep} sweep over ranks up to {max_rank} and degrees up to "
                                f"{max_abs_degree} in absolute value exceeds "
@@ -322,33 +334,33 @@ def _guard_sweep_size(sweep: str, max_rank: int, max_abs_degree: int, max_m: int
     if max_m > _MAX_ORACLE_POWER:
         raise OracleGuardError(f"{sweep} sweep needs max_m <= {_MAX_ORACLE_POWER}, "
                                f"got {max_m}", "max_m")
+    return [Decomposable(ds, genus0) for r in range(1, max_rank + 1)
+            for ds in combinations_with_replacement(span, r)], degrees
 
 
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
-    minimal-degree bound against raw enumeration."""
-    _guard_sweep_size("sympow", max_rank, max_abs_degree, max_m)
-    lines = []
-    genus0 = SurfaceGenus(0)
-    span = range(-max_abs_degree, max_abs_degree + 1)
-    for r in range(1, max_rank + 1):
+    minimal-degree bound against raw enumeration, one line per (r, m)."""
+    bundles, degrees = _sweep_bundles("sympow", max_rank, max_abs_degree, max_m)
+
+    def check(b: Decomposable) -> list[bool]:  # one flag per power m = 1..max_m
+        ds, oks = b.degrees, []
         for m in range(1, max_m + 1):
-            bundles = 0
-            bad: list[str] = []
-            for degrees in combinations_with_replacement(span, r):
-                b = Decomposable(degrees, genus0)
-                bundles += 1
-                enum = enumerate_sym_quotients(b, m)
-                want_rank, want_degree = sym_rank_degree(r, sum(degrees), m)
-                ok = (len(enum) == want_rank
-                      and sum(enum) == want_degree
-                      and enum[0] == m * degrees[0]
-                      and enum[-1] == m * degrees[-1]
-                      and tuple(enum) == sym_power(b, m).degrees)
-                if not ok:
-                    bad.append(f"degrees={list(degrees)}")
-            detail = (f"r={r} m={m} bundles={bundles} bad={len(bad)} first={bad[0]}" if bad
-                      else f"r={r} m={m} bundles={bundles} mismatches=0")
+            enum = enumerate_sym_quotients(b, m)
+            want_rank, want_degree = sym_rank_degree(len(ds), sum(ds), m)
+            oks.append(len(enum) == want_rank and sum(enum) == want_degree
+                       and enum[0] == m * ds[0] and enum[-1] == m * ds[-1]
+                       and tuple(enum) == sym_power(b, m).degrees)
+        return oks
+
+    flags = _in_shares(check, degrees, bundles)
+    lines = []
+    for r in range(1, max_rank + 1):
+        of_rank = [(b.degrees, oks) for b, oks in zip(bundles, flags) if len(b.degrees) == r]
+        for m in range(1, max_m + 1):
+            bad = [ds for ds, oks in of_rank if not oks[m - 1]]
+            detail = f"r={r} m={m} bundles={len(of_rank)} " + (
+                f"bad={len(bad)} first=degrees={list(bad[0])}" if bad else "mismatches=0")
             lines.append(_line("sympow-formulas", f"sympow r={r} m={m} span={max_abs_degree}",
                                not bad, detail))
     return CheckReport(lines)
@@ -357,11 +369,7 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
 def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3, max_m: int = 5) -> CheckReport:
     """Run the cone positivity check, with multisections of degree up to
     max_m, over all decomposable bundles in range."""
-    _guard_sweep_size("cone", max_rank, max_abs_degree, max_m)
-    genus0 = SurfaceGenus(0)
-    span = range(-max_abs_degree, max_abs_degree + 1)
-    bundles = [Decomposable(degrees, genus0) for r in range(1, max_rank + 1)
-               for degrees in combinations_with_replacement(span, r)]
+    bundles, _ = _sweep_bundles("cone", max_rank, max_abs_degree, max_m)
 
     def check(b: Decomposable) -> tuple:
         line, = sample_cone_check(b, max_m).lines

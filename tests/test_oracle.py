@@ -25,6 +25,7 @@ from pbcones.oracle import (
     sample_cone_check,
     sympow_sweep,
 )
+from test_acceptance import SYMPOW_REPORT_SHA256
 
 Q = Fraction
 
@@ -113,6 +114,22 @@ def test_brute_power_guard():
         brute_ring_power(DivisorClass(1, 1, BundleContext(2, 1)), 3)
 
 
+def test_brute_ring_power_is_the_fraction_of_the_sweeps_integers():
+    # The ring sweep compares top_power with the unreduced integer pair
+    # (numerator, (qx*qy)**k); brute_ring_power is that pair's fraction at
+    # every power k up to the rank.
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        u = DivisorClass(Q(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Q(rng.randint(-9, 9), rng.randint(1, 9)),
+                         BundleContext(n, rng.randint(-10, 10), rng.choice(list(Convention))))
+        for k in range(n + 1):
+            num, den = oracle._brute_ring_ints(u, k)
+            assert den == (u.x.denominator * u.y.denominator) ** k
+            assert brute_ring_power(u, k) == Q(num, den)
+
+
 def test_enumerate_sym_quotients_examples():
     assert enumerate_sym_quotients(decomposable(0, 2), 2) == [0, 2, 4]
     b = decomposable(-2, 1, 1)
@@ -194,12 +211,20 @@ def test_ring_sweep_class_count_guard():
     (cone_sweep, dict(max_rank=0)),
     (cone_sweep, dict(max_abs_degree=-1)),
     (cone_sweep, dict(max_m=0)),
+    (ring_sweep, dict(samples=1.5)),
+    (ring_sweep, dict(max_rank=2.0)),
+    (sympow_sweep, dict(max_m=2.0)),
+    (cone_sweep, dict(max_abs_degree=True)),
+    (sympow_sweep, dict(max_rank=True)),
 ])
 def test_sweeps_refuse_sizes_below_their_least(sweep, sizes):
     # Each size one below its least value would leave the sweep nothing to
-    # check, and an empty report would read as all passed.
-    with pytest.raises(OracleGuardError, match="sweep needs"):
+    # check, and an empty report would read as all passed.  A size that is
+    # not an int, or is a bool, is refused as well, not met by a TypeError
+    # or an answer.
+    with pytest.raises(OracleGuardError, match="sweep needs") as refused:
         sweep(**sizes)
+    assert refused.value.size == next(iter(sizes))
 
 
 def test_sample_cone_check_clean():
@@ -298,8 +323,8 @@ def test_restricted_ratio_matches_enumerated_infimum():
 
 
 def _force_shares(monkeypatch) -> list:
-    """Split every ring and cone sweep into three shares, two of them forked,
-    whatever its size and the host's CPU count; returns the forks made."""
+    """Split every sweep into three shares, two of them forked, whatever its
+    size and the host's CPU count; returns the forks made."""
     forks, fork = [], os.fork
     monkeypatch.setattr(oracle, "_FORK_MIN_CASES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -329,19 +354,22 @@ def test_ring_shares_check_the_classes_of_their_lines(monkeypatch):
     # share that checked another line's classes, or a line that took another
     # line's count, would show other mismatch counts.
     drawn = {}
-    brute = brute_ring_power
+    brute = oracle._brute_ring_ints
 
     def recording(u, k):
         drawn.setdefault(u.ctx, []).append((u.x, u.y))
         return brute(u, k)
 
-    monkeypatch.setattr(oracle, "brute_ring_power", recording)
+    def off_by_one_if_marked(u, k):
+        num, den = brute(u, k)
+        return num + den * ((u.x, u.y) in marked[u.ctx]), den
+
+    monkeypatch.setattr(oracle, "_brute_ring_ints", recording)
     sizes = dict(seed=4, max_rank=3, max_abs_degree=2, samples=7)
     ring_sweep(**sizes)
     marked = {ctx: set(xys[:i % 7 + 1]) for i, (ctx, xys) in enumerate(drawn.items())}
     assert len(marked) == 3 * 5 * 2
-    monkeypatch.setattr(oracle, "brute_ring_power",
-                        lambda u, k: brute(u, k) + ((u.x, u.y) in marked[u.ctx]))
+    monkeypatch.setattr(oracle, "_brute_ring_ints", off_by_one_if_marked)
     alone = ring_sweep(**sizes)
     forks = _force_shares(monkeypatch)
     shared = ring_sweep(**sizes)
@@ -388,7 +416,7 @@ def test_a_share_that_fails_here_ends_the_children(monkeypatch):
         raise ZeroDivisionError("in a child")
 
     _force_shares(monkeypatch)
-    monkeypatch.setattr(oracle, "brute_ring_power", raises_here)
+    monkeypatch.setattr(oracle, "_brute_ring_ints", raises_here)
     start = time.monotonic()
     with pytest.raises(ZeroDivisionError, match="in the calling process"):
         ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20)
@@ -407,6 +435,7 @@ def test_one_usable_cpu_never_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", _fork_refused)
     assert ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).all_passed
     assert cone_sweep(2, 2).all_passed
+    assert sympow_sweep(3, 2, 3).all_passed
 
 
 def test_a_running_thread_stops_the_fork(monkeypatch):
@@ -418,6 +447,7 @@ def test_a_running_thread_stops_the_fork(monkeypatch):
     try:
         assert ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).all_passed
         assert cone_sweep(2, 2).all_passed
+        assert sympow_sweep(3, 2, 3).all_passed
     finally:
         done.set()
         thread.join(timeout=10)
@@ -429,14 +459,14 @@ def _drawn_classes_digest(monkeypatch, out) -> str:
     samples=20) checks, one "n d convention x y" row each, in line order.
     Each process writes the classes it checks to its own file in out."""
     out.mkdir()
-    brute = brute_ring_power
+    brute = oracle._brute_ring_ints
 
     def recording(u, k):
         with open(out / str(os.getpid()), "a", encoding="utf-8") as rows:
             rows.write(f"{u.ctx.rank} {u.ctx.degree} {u.ctx.convention.value} {u.x} {u.y}\n")
         return brute(u, k)
 
-    monkeypatch.setattr(oracle, "brute_ring_power", recording)
+    monkeypatch.setattr(oracle, "_brute_ring_ints", recording)
     ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20)
     lines = {}
     for path in out.iterdir():
@@ -474,4 +504,60 @@ def test_no_child_draws_a_class(monkeypatch):
     assert hashlib.sha256(ring.encode("utf-8")).hexdigest() == (
         "b03f11d66f6f35b503f3a3cdee873a02a8f339acacaf5c96b18f88bea6423bfd")
     assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_sympow_shares_render_the_one_process_bytes(monkeypatch):
+    alone = sympow_sweep(4, 5, 6).render()
+    forks = _force_shares(monkeypatch)
+    shared = sympow_sweep(4, 5, 6).render()
+    assert len(forks) == 2
+    assert shared == alone
+    assert hashlib.sha256(shared.encode("utf-8")).hexdigest() == SYMPOW_REPORT_SHA256
+    _assert_no_child_left()
+
+
+def test_sympow_shares_check_the_bundles_of_their_lines(monkeypatch):
+    # Mark a different run of bundles at each (rank, power) and make the
+    # symmetric power wrong there alone: each line must count its own
+    # marked bundles and name the first of them, in one process and in
+    # three shares alike.
+    marked = {(r, m): list(combinations_with_replacement(range(-2, 3), r))[r * m::r + m]
+              for r, m in product(range(1, 4), repeat=2)}
+    wrong = {(ds, m) for (r, m), bundles in marked.items() for ds in bundles}
+
+    def wrong_where_marked(b, m):
+        power = sym_power(b, m)
+        if (b.degrees, m) not in wrong:
+            return power
+        return decomposable(*power.degrees[:-1], power.degrees[-1] + 1)
+
+    monkeypatch.setattr(oracle, "sym_power", wrong_where_marked)
+    alone = sympow_sweep(3, 2, 3)
+    forks = _force_shares(monkeypatch)
+    shared = sympow_sweep(3, 2, 3)
+    assert len(forks) == 2
+    assert shared.render() == alone.render()
+    want = [f"r={r} m={m} bundles={math.comb(r + 4, r)} bad={len(bundles)} "
+            f"first=degrees={list(bundles[0])}" for (r, m), bundles in marked.items()]
+    assert [line.detail for line in shared.lines] == want
+    assert not any(line.passed for line in shared.lines)
+    assert len({len(bundles) for bundles in marked.values()}) == 6
+    assert len({bundles[0] for bundles in marked.values()}) == 9
+    _assert_no_child_left()
+
+
+def test_a_sympow_share_that_fails_in_its_child_fails_the_sweep(monkeypatch, capfd):
+    parent = os.getpid()
+
+    def raises_in_a_child(b, m):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("in a child")
+        return sym_power(b, m)
+
+    _force_shares(monkeypatch)
+    monkeypatch.setattr(oracle, "sym_power", raises_in_a_child)
+    with pytest.raises(RuntimeError, match=r"^sympow_sweep share 1 of 3 exited with code 1$"):
+        sympow_sweep(3, 2, 3)
+    assert "ZeroDivisionError: in a child" in capfd.readouterr().err
     _assert_no_child_left()
