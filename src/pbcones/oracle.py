@@ -11,9 +11,11 @@ machine-readable lines
 
     CHECK <name> <input-digest> PASS|FAIL <detail>
 
-The ring sweep draws each class once, in the calling process.  Each sweep
-checks its items (ring and cone lines, sympow bundles) on the usable CPUs in
-item order (_in_shares), so a report is byte-identical in any process count.
+The ring sweep draws each line's classes in one call, in the calling
+process, and finds the expansion terms that reach the point class once per
+line; each class only fills in its coordinates.  Each sweep checks its
+items (ring and cone lines, sympow bundles) on the usable CPUs in item
+order (_in_shares), so a report is byte-identical in any process count.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _MAX_ORACLE_POWER = 8
 _MAX_SWEEP_BUNDLES = 10**5
 _MAX_SWEEP_DEGREES = 10**6
 _MAX_RING_CLASSES = 10**6
-# A case is one unit of a sweep's work: a ring class (about 15 us), a cone grid
+# A case is one unit of a sweep's work: a ring class (about 12 us), a cone grid
 # class (8 us) or a sympow summand degree (1.3 us).  A fork costs about 10 ms.
 _FORK_MIN_CASES = 20_000
 
@@ -103,36 +105,43 @@ def _line(name: str, key: str, passed: bool, detail: str) -> CheckLine:
 
 
 def brute_ring_power(u: DivisorClass, k: int) -> Fraction:
-    """(x*h + y*F)^k integrated, by binomial expansion and monomial rewriting.
-
-    Works in integer arithmetic over the common denominator of x and y,
-    independently of the closed formula in top_power.  Each of the k+1
-    binomial terms c * h^a F^b is taken in one pass: a hyperplane power
-    h^a with a >= n is rewritten first (h^n -> e*h^{n-1}*F, one step at a
-    time), then a term with F^2 is discarded, and what is left integrates
-    to its coefficient if it is the point class h^{n-1}F and to 0 if not.
-    """
-    return Fraction(*_brute_ring_ints(u, k))
-
-
-def _brute_ring_ints(u: DivisorClass, k: int) -> tuple[int, int]:
-    """brute_ring_power(u, k) as the integers (numerator, (qx*qy)**k), unreduced."""
+    """(x*h + y*F)^k integrated, for an int k from 0 to the rank, by binomial
+    expansion and monomial rewriting in integers, independently of top_power.
+    Which terms reach the point class depends on the rank, e and k alone
+    (_point_terms); the class fills in their coordinates (_brute_ring_ints)."""
     n = u.ctx.rank
-    if k > n:
-        raise OracleGuardError(f"brute ring power only defined up to the rank ({n}), got {k}")
-    e = u.ctx.top_coefficient
-    qx, qy = u.x.denominator, u.y.denominator
-    ax, ay = u.x.numerator * qy, u.y.numerator * qx
-    total = 0
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
+        raise OracleGuardError(f"brute ring power needs an int k from 0 to the rank ({n}), "
+                               f"got {k!r}")
+    return Fraction(*_brute_ring_ints(u, k, _point_terms(n, u.ctx.top_coefficient, k)))
+
+
+def _point_terms(n: int, e: int, k: int) -> list[tuple[int, int, int]]:
+    """The terms of (x*h + y*F)^k at rank n that integrate to a multiple of
+    the point class, as (multiplier, power of x, power of y).  In each binomial
+    term C(k, j) h^(k-j) F^j, h^n is rewritten as e*h^{n-1}*F while the power
+    of h is at least n, then a term with F^2 is discarded; what is left counts
+    if it has the top degree n, where h^{n-1}F is all that is left."""
+    terms = []
     for j in range(k + 1):
-        a, b = k - j, j
-        c = math.comb(k, j) * ax ** a * ay ** b
+        a, b, c = k - j, j, math.comb(k, j)
         while a >= n:  # h^n -> e * h^{n-1} F
             a, b, c = a - 1, b + 1, c * e
         if b >= 2:  # F^2 = 0
             continue
-        if a == n - 1 and b == 1:  # the point class
-            total += c
+        if a + b == n:  # top degree: the point class h^{n-1}F
+            terms.append((c, k - j, j))
+    return terms
+
+
+def _brute_ring_ints(u: DivisorClass, k: int, terms: list) -> tuple[int, int]:
+    """brute_ring_power(u, k) as the integers (numerator, (qx*qy)**k),
+    unreduced, from the _point_terms of u's rank, e and k."""
+    qx, qy = u.x.denominator, u.y.denominator
+    ax, ay = u.x.numerator * qy, u.y.numerator * qx
+    total = 0
+    for c, i, j in terms:
+        total += c * ax ** i * ay ** j
     return total, (qx * qy) ** k
 
 
@@ -169,8 +178,11 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
     that a refused class pairs to at most 0 with the extremal section.
 
     Pairings are computed inline as a*x + m*y over the integer grid; the
-    candidate degrees a come from the symmetric-power enumeration.
+    candidate degrees a come from the symmetric-power enumeration.  max_m
+    must be an int of at least 1: with none, no class would be checked.
     """
+    if not isinstance(max_m, int) or isinstance(max_m, bool) or max_m < 1:
+        raise OracleGuardError(f"cone check needs an int max_m >= 1, got {max_m!r}")
     section_degrees = {m: enumerate_sym_quotients(b, m) for m in range(1, max_m + 1)}
     ctx = bundle_context(b)
     # each grid coordinate with its Fraction, built once per bundle
@@ -203,18 +215,20 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
 _SAMPLE_FRACTIONS = tuple(Fraction(p, q) for p in range(-9, 10) for q in range(1, 10))
 
 
-def _random_index(rng: random.Random) -> int:
-    """The _SAMPLE_FRACTIONS index of Fraction(rng.randint(-9, 9),
-    rng.randint(1, 9)), from the same bits: randint(a, b) draws a + r with
+def _random_indices(rng: random.Random, count: int) -> bytes:
+    """count _SAMPLE_FRACTIONS indices, each that of Fraction(rng.randint(-9, 9),
+    rng.randint(1, 9)) from the same bits: randint(a, b) draws a + r with
     r = getrandbits(k) for the bit length k of b - a + 1, redrawn until r <= b - a."""
-    bits = rng.getrandbits
-    p = bits(5)
-    while p >= 19:
+    bits, indices = rng.getrandbits, bytearray(count)
+    for i in range(count):
         p = bits(5)
-    q = bits(4)
-    while q >= 9:
+        while p >= 19:
+            p = bits(5)
         q = bits(4)
-    return 9 * p + q
+        while q >= 9:
+            q = bits(4)
+        indices[i] = 9 * p + q
+    return bytes(indices)
 
 
 def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts: int) -> None:
@@ -295,12 +309,13 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
                 for d in range(-max_abs_degree, max_abs_degree + 1)
                 for convention in (Convention.QUOTIENT, Convention.SUB)]
     rng = random.Random(seed)
-    drawn = [bytes([_random_index(rng) for _ in range(2 * samples)]) for _ in contexts]
+    drawn = [_random_indices(rng, 2 * samples) for _ in contexts]
 
     def check(ctx: BundleContext, indices: bytes) -> int:
-        draws, bad = [_SAMPLE_FRACTIONS[i] for i in indices], 0
+        n, draws, bad = ctx.rank, [_SAMPLE_FRACTIONS[i] for i in indices], 0
+        terms = _point_terms(n, ctx.top_coefficient, n)
         for u in map(DivisorClass, draws[::2], draws[1::2], [ctx] * samples):
-            top, (num, den) = top_power(u), _brute_ring_ints(u, ctx.rank)
+            top, (num, den) = top_power(u), _brute_ring_ints(u, n, terms)
             bad += top.numerator * den != num * top.denominator  # top == num / den
         return bad
 

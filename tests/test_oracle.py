@@ -74,10 +74,13 @@ def test_top_power_matches_brute_ring_power(n, d, convention, x, y):
 
 
 def test_random_fraction_keeps_the_randint_stream():
+    # one call of any count, an empty one included, draws what that many
+    # randint pairs draw, from the same bits
     rng, twin = random.Random(7), random.Random(7)
-    for _ in range(10_000):
-        assert oracle._SAMPLE_FRACTIONS[oracle._random_index(rng)] == Q(twin.randint(-9, 9),
-                                                                        twin.randint(1, 9))
+    indices = b"".join(oracle._random_indices(rng, count) for count in (0, 1, 9_999))
+    assert len(indices) == 10_000
+    for i in indices:
+        assert oracle._SAMPLE_FRACTIONS[i] == Q(twin.randint(-9, 9), twin.randint(1, 9))
     assert rng.getstate() == twin.getstate()
 
 
@@ -125,9 +128,52 @@ def test_brute_ring_power_is_the_fraction_of_the_sweeps_integers():
                          Q(rng.randint(-9, 9), rng.randint(1, 9)),
                          BundleContext(n, rng.randint(-10, 10), rng.choice(list(Convention))))
         for k in range(n + 1):
-            num, den = oracle._brute_ring_ints(u, k)
+            num, den = oracle._brute_ring_ints(
+                u, k, oracle._point_terms(n, u.ctx.top_coefficient, k))
             assert den == (u.x.denominator * u.y.denominator) ** k
             assert brute_ring_power(u, k) == Q(num, den)
+
+
+def test_brute_ring_power_is_the_full_expansion():
+    # Every one of the 2^k words of (x*h + y*F)^k is kept and integrated on
+    # its own.  In the top degree k = n, h^n = e*h^{n-1}F, F^2 = 0 and
+    # h^{n-1}F = 1 integrate a word with j F's to e, 1 or 0 for j = 0, 1 or
+    # more; a word of a lower degree integrates to 0.
+    rng = random.Random(13)
+    for n, e, convention in product(range(1, 7), range(-10, 11), list(Convention)):
+        ctx = BundleContext(n, e if convention is Convention.QUOTIENT else -e, convention)
+        assert ctx.top_coefficient == e
+        for _ in range(3):
+            x, y = (Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "xy")
+            for k in range(n + 1):
+                full = sum(x ** word.count("h") * y ** word.count("F")
+                           * {0: e, 1: 1}.get(word.count("F"), 0)
+                           for word in product("hF", repeat=k)) if k == n else 0
+                assert brute_ring_power(DivisorClass(x, y, ctx), k) == full, (n, e, k, x, y)
+
+
+def test_the_small_sweep_builds_terms_once_per_line(monkeypatch):
+    # The terms reaching the point class depend on the line's rank, e and
+    # power alone: each of the 30 lines builds them once, at k = n, and hands
+    # that one list to each of its 20 classes.
+    built, calls = [], []
+    point_terms, brute = oracle._point_terms, oracle._brute_ring_ints
+
+    def building(n, e, k):
+        built.append(((n, e, k), point_terms(n, e, k)))
+        return built[-1][1]
+
+    def checking(u, k, terms):
+        calls.append((u.ctx.rank, u.ctx.top_coefficient, k, terms is built[-1][1]))
+        return brute(u, k, terms)
+
+    monkeypatch.setattr(oracle, "_point_terms", building)
+    monkeypatch.setattr(oracle, "_brute_ring_ints", checking)
+    assert ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).all_passed
+    lines = [(n, d if convention is Convention.QUOTIENT else -d, n) for n in range(1, 4)
+             for d in range(-2, 3) for convention in (Convention.QUOTIENT, Convention.SUB)]
+    assert [args for args, _ in built] == lines
+    assert calls == [(*args, True) for args in lines for _ in range(20)]
 
 
 def test_enumerate_sym_quotients_examples():
@@ -356,12 +402,12 @@ def test_ring_shares_check_the_classes_of_their_lines(monkeypatch):
     drawn = {}
     brute = oracle._brute_ring_ints
 
-    def recording(u, k):
+    def recording(u, k, terms):
         drawn.setdefault(u.ctx, []).append((u.x, u.y))
-        return brute(u, k)
+        return brute(u, k, terms)
 
-    def off_by_one_if_marked(u, k):
-        num, den = brute(u, k)
+    def off_by_one_if_marked(u, k, terms):
+        num, den = brute(u, k, terms)
         return num + den * ((u.x, u.y) in marked[u.ctx]), den
 
     monkeypatch.setattr(oracle, "_brute_ring_ints", recording)
@@ -409,7 +455,7 @@ def test_a_share_that_fails_here_ends_the_children(monkeypatch):
     # the calling process's own error at once
     parent = os.getpid()
 
-    def raises_here(u, k):
+    def raises_here(u, k, terms):
         if os.getpid() == parent:
             raise ZeroDivisionError("in the calling process")
         time.sleep(60)
@@ -461,10 +507,10 @@ def _drawn_classes_digest(monkeypatch, out) -> str:
     out.mkdir()
     brute = oracle._brute_ring_ints
 
-    def recording(u, k):
+    def recording(u, k, terms):
         with open(out / str(os.getpid()), "a", encoding="utf-8") as rows:
             rows.write(f"{u.ctx.rank} {u.ctx.degree} {u.ctx.convention.value} {u.x} {u.y}\n")
-        return brute(u, k)
+        return brute(u, k, terms)
 
     monkeypatch.setattr(oracle, "_brute_ring_ints", recording)
     ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20)
@@ -491,14 +537,14 @@ def test_ring_sweep_drawn_classes_are_pinned(monkeypatch, tmp_path):
 
 
 def test_no_child_draws_a_class(monkeypatch):
-    parent, index = os.getpid(), oracle._random_index
+    parent, indices = os.getpid(), oracle._random_indices
 
-    def in_the_parent(rng):
+    def in_the_parent(rng, count):
         if os.getpid() != parent:
             raise AssertionError("a child drew a class")
-        return index(rng)
+        return indices(rng, count)
 
-    monkeypatch.setattr(oracle, "_random_index", in_the_parent)
+    monkeypatch.setattr(oracle, "_random_indices", in_the_parent)
     forks = _force_shares(monkeypatch)
     ring = ring_sweep(seed=1, max_rank=3, max_abs_degree=2, samples=20).render()
     assert hashlib.sha256(ring.encode("utf-8")).hexdigest() == (
