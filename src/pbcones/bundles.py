@@ -187,6 +187,8 @@ def sym_rank_degree(r: int, d: int, m: int) -> tuple[int, int]:
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"symmetric power exponent must be an int, got {m!r}")
     if m < 1:
         raise ValueError(f"symmetric power exponent must be >= 1, got {m}")
     return math.comb(m + r - 1, m), math.comb(m + r - 1, m - 1) * d

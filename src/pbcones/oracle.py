@@ -54,8 +54,9 @@ _MAX_ORACLE_POWER = 8
 _MAX_SWEEP_BUNDLES = 10**5
 _MAX_SWEEP_DEGREES = 10**6
 _MAX_RING_CLASSES = 10**6
-# A case is one unit of a sweep's work: a ring class (about 12 us), a cone grid
-# class (8 us) or a sympow summand degree (1.3 us).  A fork costs about 10 ms.
+# A case is one unit of a sweep's work: a ring class (about 4 us), a cone grid
+# class (4 us) or a sympow summand degree (0.7 us), timed in one process on one
+# host.  A fork costs about 10 ms.
 _FORK_MIN_CASES = 20_000
 
 
@@ -147,7 +148,10 @@ def _brute_ring_ints(u: DivisorClass, k: int, terms: list) -> tuple[int, int]:
 
 def enumerate_sym_quotients(b: Decomposable, m: int) -> list[int]:
     """All summand degrees of the m-th symmetric power, by raw exponent
-    enumeration over (k_1, ..., k_r) with sum m.  Sorted ascending."""
+    enumeration over (k_1, ..., k_r) with sum m.  Sorted ascending.  A power
+    m that is not an int, or is a bool, is refused."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise OracleGuardError(f"oracle enumeration needs an int power m, got {m!r}")
     r = len(b.degrees)
     if r > _MAX_ORACLE_RANK:
         raise OracleGuardError(f"oracle enumeration capped at rank {_MAX_ORACLE_RANK}, got {r}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -367,6 +368,14 @@ def test_ring_digit_guard_boundary(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the answer could have 5118 digits; ints print at most 4300\n"
+
+
+def test_ring_rank_1000_output_is_pinned(capsys):
+    # b^n*d of about 2,800 bits; the sha256 is that of the factored form
+    # x^(n-1) * N/(b*d), which takes no gcd of two large integers
+    assert main("ring --rank 1000 --deg 1 --class 3/7,1 --json".split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "22f04840034989d1ff100a1950a1bc88fa4b1d91e5ec23bba56f58d506f96691")
 
 
 def test_blowdown_takes_no_fiber_rank(tmp_path, capsys):

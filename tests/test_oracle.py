@@ -68,9 +68,14 @@ coordinate = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-10**12, 10**12),
 @example(1, 0, Convention.QUOTIENT, Q(0), Q(0))
 @example(12, -7, Convention.SUB, Q(0), Q(10**12, 3))
 @example(12, 5, Convention.QUOTIENT, Q(-10**12, 10**12 - 1), Q(0))
+@example(4, 3, Convention.QUOTIENT, Q(1, 2**126 + 1), Q(-5, 9))   # b^4*d of 512 bits
+@example(1000, 1, Convention.QUOTIENT, Q(0), Q(1, 3))
+@example(1000, 1, Convention.QUOTIENT, Q(3, 7), Q(1))
+@example(1000, -3, Convention.SUB, Q(-9999, 7), Q(5, 11))
 def test_top_power_matches_brute_ring_power(n, d, convention, x, y):
     u = DivisorClass(x, y, BundleContext(n, d, convention))
-    assert top_power(u) == brute_ring_power(u, n)
+    e = u.ctx.top_coefficient
+    assert top_power(u) == brute_ring_power(u, n) == x ** (n - 1) * (e * x + n * y)
 
 
 def test_random_fraction_keeps_the_randint_stream():

@@ -3,7 +3,7 @@ ValueError with its own text."""
 
 import pytest
 
-from pbcones.bundles import SurfaceGenus, decomposable, sym_rank_degree
+from pbcones.bundles import SurfaceGenus, decomposable, sym_power, sym_rank_degree
 from pbcones.cohomology import BundleContext, DivisorClass
 from pbcones.cones import matching_bundle, restrict_to_divisor
 from pbcones.oracle import brute_ring_power, enumerate_sym_quotients, sample_cone_check
@@ -23,11 +23,19 @@ RANK_2 = DivisorClass(1, 1, BundleContext(2, 1))
       for k in (-1, 3, 2.0, True)),
     *((lambda m=m: sample_cone_check(decomposable(1, 2), m),
        f"cone check needs an int max_m >= 1, got {m!r}") for m in (0, -1, 2.0, True)),
+    *((lambda m=m: enumerate_sym_quotients(decomposable(0, 2), m),
+       f"oracle enumeration needs an int power m, got {m!r}") for m in (True, 2.0)),
+    *((call, f"symmetric power exponent must be an int, got {m!r}")
+      for m in (True, 2.0)
+      for call in (lambda m=m: sym_power(decomposable(0, 2), m),
+                   lambda m=m: sym_rank_degree(2, 2, m))),
 ], ids=["sym_rank_degree", "matching_bundle", "restrict_to_divisor",
         "enumerate_sym_quotients", "brute_ring_power_k=-1", "brute_ring_power_k=3",
         "brute_ring_power_k=2.0", "brute_ring_power_k=True", "sample_cone_check_max_m=0",
         "sample_cone_check_max_m=-1", "sample_cone_check_max_m=2.0",
-        "sample_cone_check_max_m=True"])
+        "sample_cone_check_max_m=True", "enumerate_sym_quotients_m=True",
+        "enumerate_sym_quotients_m=2.0", "sym_power_m=True", "sym_rank_degree_m=True",
+        "sym_power_m=2.0", "sym_rank_degree_m=2.0"])
 def test_guard_refuses_with_its_text(call, refusal):
     with pytest.raises(ValueError) as err:
         call()
