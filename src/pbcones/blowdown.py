@@ -82,7 +82,8 @@ class ExceptionalDivisorData(_Record):
     forward cone.  None means the divisor is a projective space over a
     point (in dimension six: a plane with normal degree -1).  base_genus,
     fiber_rank, alpha and the class ratio rho are read off the class, and
-    are None over a point; so are the ruling areas of the sphere product.
+    are None over a point.  The sphere product of class (x, y) has ruling
+    areas (x, x + y).
     """
 
     __slots__ = ("omega_class", "base_genus", "fiber_rank", "alpha", "rho")
@@ -112,14 +113,6 @@ class ExceptionalDivisorData(_Record):
     def is_double_ruling_case(self) -> bool:
         return (self.base_genus is not None and self.base_genus.g == 0
                 and self.fiber_rank == 2 and self.alpha == 2)
-
-    @property
-    def ruled_areas(self) -> tuple[Fraction, Fraction] | None:
-        """The sphere product's two ruling areas (x, x + y), for class (x, y)."""
-        if not self.is_double_ruling_case:
-            return None
-        u = self.omega_class
-        return u.x, u.x + u.y
 
     @classmethod
     def point(cls) -> "ExceptionalDivisorData":

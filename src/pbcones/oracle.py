@@ -51,12 +51,10 @@ DEFAULT_SEED = 2718
 
 _MAX_ORACLE_RANK = 6
 _MAX_ORACLE_POWER = 8
-_MAX_SWEEP_BUNDLES = 10**5
-_MAX_SWEEP_DEGREES = 10**6
-_MAX_RING_CLASSES = 10**6
-# A case is one unit of a sweep's work: a ring class (about 4 us), a cone grid
-# class (4 us) or a sympow summand degree (0.7 us), timed in one process on one
-# host.  A fork costs about 10 ms.
+# A case is about 4 us of sweep work in one process on one CPU (3.11.7; 3.10.13
+# takes up to twice as long).  A sweep counts its cases before it builds anything
+# and refuses more than _MAX_CASES; from _FORK_MIN_CASES on it forks (2 ms a child).
+_MAX_CASES = 500_000
 _FORK_MIN_CASES = 20_000
 
 
@@ -191,7 +189,7 @@ def sample_cone_check(b: Decomposable, max_m: int = 5) -> CheckReport:
     ctx = bundle_context(b)
     # each grid coordinate with its Fraction, built once per bundle
     ys = [(y, Fraction(y)) for y in range(GridSpec.y_min, GridSpec.y_max + 1)]
-    a1 = enumerate_sym_quotients(b, 1)[0]  # the extremal section is a1*l + eta
+    a1 = section_degrees[1][0]  # the extremal section is a1*l + eta
     tested = 0
     violations: list[str] = []
     for x in range(GridSpec.x_min, GridSpec.x_max + 1):
@@ -253,13 +251,20 @@ def _guard_least_sizes(sweep: str, max_rank: int, max_abs_degree: int, **counts:
             raise OracleGuardError(f"{sweep} sweep needs {name} >= 1, got {value}", name)
 
 
+def _within_budget(sweep: str, cases: int) -> int:
+    """cases, a sweep's count of its work, refused past _MAX_CASES."""
+    if cases > _MAX_CASES:
+        raise OracleGuardError(f"{sweep} sweep of {cases} cases exceeds the budget of {_MAX_CASES}")
+    return cases
+
+
 def _in_shares(check, cases: int, *columns: list) -> list:
     """list(map(check, *columns)), in item order.  With w usable CPUs, at
     most the number of items, share k maps items k, k + w, ...: share 0
     here, and each other share in one forked child that sends its results
-    back through a pipe.  cases is the caller's count of its work, in the
-    unit stated at _FORK_MIN_CASES; w is 1 (no fork) below that many cases,
-    without os.fork, or while another thread runs (a fork can deadlock it)."""
+    back through a pipe.  cases is the count the sweep's budget admitted
+    (_within_budget); w is 1 (no fork) below _FORK_MIN_CASES cases, without
+    os.fork, or while another thread runs (a fork can deadlock it)."""
     affinity = getattr(os, "sched_getaffinity", None)
     w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(columns[0]))
     if (cases < _FORK_MIN_CASES or w < 2 or not hasattr(os, "fork")
@@ -305,10 +310,8 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     """Compare the closed top-power formula with the brute ring oracle on
     random rational classes, for every rank, degree and convention."""
     _guard_least_sizes("ring", max_rank, max_abs_degree, samples=samples)
-    classes = max_rank * (2 * max_abs_degree + 1) * len(Convention) * samples
-    if classes > _MAX_RING_CLASSES:
-        raise OracleGuardError(f"ring sweep would sample {classes} classes, more than "
-                               f"{_MAX_RING_CLASSES}")
+    # a case per class, and three per line (rank, degree, convention) for its context and digest
+    cases = _within_budget("ring", max_rank * (2 * max_abs_degree + 1) * 2 * (samples + 3))
     contexts = [BundleContext(n, d, convention) for n in range(1, max_rank + 1)
                 for d in range(-max_abs_degree, max_abs_degree + 1)
                 for convention in (Convention.QUOTIENT, Convention.SUB)]
@@ -324,7 +327,7 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
         return bad
 
     lines = []
-    for ctx, bad in zip(contexts, _in_shares(check, classes, contexts, drawn)):
+    for ctx, bad in zip(contexts, _in_shares(check, cases, contexts, drawn)):
         about = (f"n={ctx.rank} d={ctx.degree} conv={ctx.convention.value} seed={seed} "
                  f"samples={samples}")
         lines.append(_line("ring-top-power", f"ring {about}", bad == 0,
@@ -332,35 +335,31 @@ def ring_sweep(seed: int = DEFAULT_SEED, max_rank: int = 6, max_abs_degree: int 
     return CheckReport(lines)
 
 
-def _sweep_bundles(sweep: str, max_rank: int, max_abs_degree: int, max_m: int) -> tuple:
-    """(bundles, degrees): every genus-0 bundle in range, rank by rank in
-    combinations_with_replacement order, and the summand-degree count of their
-    powers up to max_m.  Refuses what _guard_least_sizes refuses, then too
-    many bundles or degrees before building any, then a power past the cap."""
+def _sweep_bundles(sweep: str, max_rank: int, max_abs_degree: int, max_m: int,
+                   per_bundle: int) -> tuple:
+    """(bundles, cases): every genus-0 bundle in range, rank by rank in
+    combinations_with_replacement order, and the sweep's cases: per_bundle a
+    bundle, and a quarter a summand degree of its powers up to max_m.  Refuses
+    bad sizes, a power past the cap, then cases past the budget, in that order."""
     _guard_least_sizes(sweep, max_rank, max_abs_degree, max_m=max_m)
-    span, genus0 = range(-max_abs_degree, max_abs_degree + 1), SurfaceGenus(0)
-    bundles = {r: math.comb(len(span) + r - 1, r) for r in range(1, max_rank + 1)}
-    if sum(bundles.values()) > _MAX_SWEEP_BUNDLES:
-        raise OracleGuardError(f"{sweep} sweep over ranks up to {max_rank} and degrees up to "
-                               f"{max_abs_degree} in absolute value exceeds "
-                               f"{_MAX_SWEEP_BUNDLES} bundles")
-    # sum over m = 1..M of C(m + r - 1, r - 1) is C(M + r, r) - 1
-    degrees = sum(count * (math.comb(max_m + r, r) - 1) for r, count in bundles.items())
-    if degrees > _MAX_SWEEP_DEGREES:
-        raise OracleGuardError(f"{sweep} sweep up to rank {max_rank}, degree {max_abs_degree} "
-                               f"and power {max_m} enumerates {degrees} summand degrees, "
-                               f"more than {_MAX_SWEEP_DEGREES}")
     if max_m > _MAX_ORACLE_POWER:
         raise OracleGuardError(f"{sweep} sweep needs max_m <= {_MAX_ORACLE_POWER}, "
                                f"got {max_m}", "max_m")
+    span, genus0 = range(-max_abs_degree, max_abs_degree + 1), SurfaceGenus(0)
+    # C(|span| + r - 1, r) bundles of rank r; the sum over m = 1..M of their
+    # C(m + r - 1, r - 1) summand degrees is C(M + r, r) - 1
+    cases = _within_budget(sweep, sum(
+        math.comb(len(span) + r - 1, r) * (4 * per_bundle + math.comb(max_m + r, r) - 1)
+        for r in range(1, max_rank + 1)) // 4)
     return [Decomposable(ds, genus0) for r in range(1, max_rank + 1)
-            for ds in combinations_with_replacement(span, r)], degrees
+            for ds in combinations_with_replacement(span, r)], cases
 
 
 def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> CheckReport:
     """Exhaustively confirm the symmetric-power rank/degree formulas and the
     minimal-degree bound against raw enumeration, one line per (r, m)."""
-    bundles, degrees = _sweep_bundles("sympow", max_rank, max_abs_degree, max_m)
+    # two cases per bundle, and one per bundle and power m
+    bundles, cases = _sweep_bundles("sympow", max_rank, max_abs_degree, max_m, 2 + max_m)
 
     def check(b: Decomposable) -> list[bool]:  # one flag per power m = 1..max_m
         ds, oks = b.degrees, []
@@ -372,7 +371,7 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
                        and tuple(enum) == sym_power(b, m).degrees)
         return oks
 
-    flags = _in_shares(check, degrees, bundles)
+    flags = _in_shares(check, cases, bundles)
     lines = []
     for r in range(1, max_rank + 1):
         of_rank = [(b.degrees, oks) for b, oks in zip(bundles, flags) if len(b.degrees) == r]
@@ -388,11 +387,12 @@ def sympow_sweep(max_rank: int = 4, max_abs_degree: int = 5, max_m: int = 6) -> 
 def cone_sweep(max_rank: int = 3, max_abs_degree: int = 3, max_m: int = 5) -> CheckReport:
     """Run the cone positivity check, with multisections of degree up to
     max_m, over all decomposable bundles in range."""
-    bundles, _ = _sweep_bundles("cone", max_rank, max_abs_degree, max_m)
+    # a case per grid class a bundle's membership is decided for
+    grid = (GridSpec.x_max - GridSpec.x_min + 1) * (GridSpec.y_max - GridSpec.y_min + 1)
+    bundles, cases = _sweep_bundles("cone", max_rank, max_abs_degree, max_m, grid)
 
     def check(b: Decomposable) -> tuple:
         line, = sample_cone_check(b, max_m).lines
         return line.name, line.digest, line.passed, line.detail
 
-    grid = (GridSpec.x_max - GridSpec.x_min + 1) * (GridSpec.y_max - GridSpec.y_min + 1)
-    return CheckReport(CheckLine(*line) for line in _in_shares(check, len(bundles) * grid, bundles))
+    return CheckReport(CheckLine(*line) for line in _in_shares(check, cases, bundles))

@@ -224,11 +224,17 @@ USAGE_ERRORS = [
     "check cone --max-m 0",
     "check sympow --max-rank 6 --max-degree 1000",
     "check cone --max-rank 6 --max-degree 1000",
-    # under the bundle cap, but about 1.3e8 enumerated summand degrees
+    # past the 500,000-case budget through their summand degrees
     "check sympow --max-rank 6 --max-m 8 --max-degree 7",
     "check cone --max-rank 6 --max-m 8 --max-degree 7",
     "check ring --max-degree 100000",
     "check ring --samples 100000",
+    # cone sweeps of 5,699,943 and 5,311,156 cases, over 10 s in one process
+    "check cone --max-rank 1 --max-degree 49999 --max-m 8",
+    "check cone --max-rank 3 --max-degree 40 --max-m 1",
+    # one sample or one degree past the budget: 500,220 and 500,002 cases
+    "check ring --samples 1982",
+    "check sympow --max-rank 1 --max-degree 76923 --max-m 1",
     # flags the target ignores
     "check sympow --samples 3",
     "check cone --seed 1",
@@ -399,6 +405,8 @@ def test_blowdown_takes_no_fiber_rank(tmp_path, capsys):
     ("check ring --max-degree -1", "ring sweep needs --max-degree >= 0, got -1"),
     ("check cone --max-rank 0", "cone sweep needs --max-rank from 1 to 6, got 0"),
     ("check sympow --max-degree -1", "sympow sweep needs --max-degree >= 0, got -1"),
+    # the budget names no flag: its count grows with every size
+    ("check ring --samples 1982", "ring sweep of 500220 cases exceeds the budget of 500000"),
     # flags the target does not take
     ("check sympow --samples 3", "unrecognized arguments: --samples 3"),
     ("check cone --seed 1 --samples 2", "unrecognized arguments: --seed 1 --samples 2"),

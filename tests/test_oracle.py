@@ -210,46 +210,119 @@ def test_enumerate_guards():
         enumerate_sym_quotients(decomposable(0, 1), 9)
 
 
-def test_sweep_bundle_count_guard():
-    # Rank 6 with degrees up to 8 walks C(23, 6) - 1 = 100946 bundles, just
-    # past the 10^5 cap; up to 1000 it would be about 9.0e16.  The guard
-    # must refuse both before enumerating anything.
-    for max_abs_degree in (8, 1000):
-        with pytest.raises(OracleGuardError, match="exceeds 100000 bundles"):
-            sympow_sweep(max_rank=6, max_abs_degree=max_abs_degree, max_m=1)
-        with pytest.raises(OracleGuardError, match="exceeds 100000 bundles"):
-            cone_sweep(max_rank=6, max_abs_degree=max_abs_degree)
+_PAST_BUDGET = r"^(ring|sympow|cone) sweep of (\d+) cases exceeds the budget of 500000$"
+
+
+def _refused_cases(sweep, **sizes) -> int:
+    """The case count a sweep's budget refusal names; the refusal names no size."""
+    with pytest.raises(OracleGuardError, match=_PAST_BUDGET) as refused:
+        sweep(**sizes)
+    assert refused.value.size is None
+    return int(re.match(_PAST_BUDGET, str(refused.value)).group(2))
+
+
+def test_sweep_bundle_count_guard(monkeypatch):
+    # Rank 6 with degrees up to 9 walks C(25, 6) - 1 = 177,099 bundles: at
+    # power 1, 783,664 sympow cases (a bundle is 3 and each of its summands a
+    # quarter), past the 500,000 budget.  Up to degree 8 the cone sweep's
+    # 100,946 bundles are 55 cases each and a quarter a summand; up to 1000
+    # there would be about 9.0e16 bundles.  Each is refused before any bundle
+    # is built.
+    def built(*args):
+        raise AssertionError("the sweep built a bundle before its budget")
+
+    monkeypatch.setattr(oracle, "Decomposable", built)
+    assert _refused_cases(sympow_sweep, max_rank=6, max_abs_degree=9, max_m=1) == 783664
+    assert _refused_cases(cone_sweep, max_rank=6, max_abs_degree=8, max_m=1) == 5695038
+    for sweep in (sympow_sweep, cone_sweep):
+        assert _refused_cases(sweep, max_rank=6, max_abs_degree=1000) > 10**16
     with pytest.raises(OracleGuardError):
         cone_sweep(max_rank=6, max_abs_degree=-1)
 
 
 def test_sweep_summand_degree_guard(monkeypatch):
-    # Rank 6, degrees up to 7 and powers up to 8: 54,263 bundles, under the
-    # bundle cap, but 132,939,688 enumerated summand degrees, past the 10^6
-    # cap (the acceptance sweeps enumerate 142,230 and 234,795).  The guard
-    # refuses before any enumeration.
+    # Rank 6, degrees up to 3 and powers up to 8: 1,715 bundles, but 3,486,784
+    # summand degrees, so their quarter cases put both bundle sweeps past the
+    # budget, which the bundles alone would not (the acceptance sweeps count
+    # 69,610 and 110,577 cases).  The budget refuses before any enumeration,
+    # and a power past the cap before the count.
     def enumerated(*args):
-        raise AssertionError("the sweep enumerated before its size guard")
+        raise AssertionError("the sweep enumerated before its budget")
 
     monkeypatch.setattr(oracle, "enumerate_sym_quotients", enumerated)
-    with pytest.raises(OracleGuardError, match="enumerates 132939688 summand degrees"):
-        sympow_sweep(max_rank=6, max_abs_degree=7, max_m=8)
-    with pytest.raises(OracleGuardError, match="more than 1000000"):
-        cone_sweep(max_rank=6, max_abs_degree=7, max_m=8)
-    with pytest.raises(OracleGuardError, match="summand degrees"):
+    assert _refused_cases(sympow_sweep, max_rank=6, max_abs_degree=3, max_m=8) == 888846
+    assert _refused_cases(cone_sweep, max_rank=6, max_abs_degree=3, max_m=8) == 966021
+    with pytest.raises(OracleGuardError, match="^cone sweep needs max_m <= 8, got 10000$"):
         cone_sweep(max_rank=2, max_abs_degree=3, max_m=10**4)
 
 
-def test_ring_sweep_class_count_guard():
-    # 6 ranks x 21 degrees x 2 conventions x 3969 samples = 1,000,188
-    # classes, just past the 10^6 cap (the acceptance run samples 252,000);
-    # the guard refuses before sampling anything.
-    for sizes in (dict(samples=3969), dict(max_abs_degree=100000, samples=50),
-                  dict(samples=100000)):
-        with pytest.raises(OracleGuardError, match="more than 1000000"):
-            ring_sweep(**sizes)
+def test_ring_sweep_class_count_guard(monkeypatch):
+    # 6 ranks x 21 degrees x 2 conventions = 252 lines; at 1982 samples each
+    # with three cases for the line, 252 x 1985 = 500,220 cases, just past the
+    # budget (the acceptance run counts 252,756).  The budget refuses before
+    # sampling anything.
+    def sampled(*args):
+        raise AssertionError("the sweep sampled before its budget")
+
+    monkeypatch.setattr(oracle, "_random_indices", sampled)
+    assert _refused_cases(ring_sweep, samples=1982) == 500220
+    for sizes in (dict(max_abs_degree=100000, samples=50), dict(samples=100000)):
+        assert _refused_cases(ring_sweep, **sizes) > 500000
     with pytest.raises(OracleGuardError):
         ring_sweep(max_rank=0)
+
+
+@pytest.mark.parametrize("sweep, sizes, work", [
+    (ring_sweep, dict(seed=1, max_rank=3, max_abs_degree=2, samples=7),
+     lambda calls: calls["classes"] + 3 * calls["lines"]),
+    (sympow_sweep, dict(max_rank=3, max_abs_degree=2, max_m=3),
+     lambda calls: (4 * (2 * calls["bundles"] + calls["powers"]) + calls["degrees"]) // 4),
+    (cone_sweep, dict(max_rank=3, max_abs_degree=1, max_m=3),
+     lambda calls: (4 * calls["memberships"] + calls["degrees"]) // 4),
+], ids=["ring", "sympow", "cone"])
+def test_a_sweeps_cases_are_its_work_and_its_budget(monkeypatch, sweep, sizes, work):
+    # The count a sweep hands _in_shares is its work as the calls below count
+    # it: a ring class per brute power and three cases per line; a sympow
+    # bundle two cases and one per power it is enumerated at; a cone
+    # membership one case; and a quarter case per summand degree enumerated.
+    # Its budget refusal reads the same count: admitted at it, refused one
+    # below it.
+    shared, calls = [], dict.fromkeys(("classes", "lines", "bundles", "powers",
+                                       "degrees", "memberships"), 0)
+    originals = {name: getattr(oracle, name) for name in (
+        "_in_shares", "_brute_ring_ints", "_point_terms", "Decomposable",
+        "enumerate_sym_quotients", "kahler_membership")}
+
+    def counting(name, counts):
+        def call(*args):
+            result = originals[name](*args)
+            for key, n in counts(result).items():
+                calls[key] += n
+            return result
+        return call
+
+    def in_shares(check, cases, *columns):
+        shared.append(cases)
+        return originals["_in_shares"](check, cases, *columns)
+
+    monkeypatch.setattr(oracle, "_in_shares", in_shares)
+    for name, counts in (("_brute_ring_ints", lambda _: dict(classes=1)),
+                         ("_point_terms", lambda _: dict(lines=1)),
+                         ("Decomposable", lambda _: dict(bundles=1)),
+                         ("enumerate_sym_quotients", lambda r: dict(powers=1, degrees=len(r))),
+                         ("kahler_membership", lambda _: dict(memberships=1))):
+        monkeypatch.setattr(oracle, name, counting(name, counts))
+    report = sweep(**sizes).render()
+    cases, = shared
+    assert cases < oracle._FORK_MIN_CASES  # every call above ran in this process
+    assert cases == work(calls), calls
+    monkeypatch.setattr(oracle, "_MAX_CASES", cases)
+    assert sweep(**sizes).render() == report
+    monkeypatch.setattr(oracle, "_MAX_CASES", cases - 1)
+    with pytest.raises(OracleGuardError, match=rf" sweep of {cases} cases exceeds the budget "
+                                               rf"of {cases - 1}$"):
+        sweep(**sizes)
+    assert shared == [cases, cases]
 
 
 @pytest.mark.parametrize("sweep, sizes", [
