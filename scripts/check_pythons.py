@@ -13,7 +13,10 @@ with ``PYTHONPATH=src``, so that any warning (a fork ``DeprecationWarning``
 among them) fails it, it checks that:
 
 * the ``GOLDENS`` of ``tests/test_cli.py`` print the same bytes and exit
-  code;
+  code, each argv answered through ``pbcones.cli.run``;
+* ``pbcone --help`` and ``pbcone check ring --help`` exit 0 with stdout
+  starting ``usage: pbcone`` and nothing on stderr (argparse lays out
+  help differently from one version to the next, so no bytes are pinned);
 * in fresh ``-S -W error`` processes, each ``UNLOADED_AFTER`` command of
   ``tests/test_cli.py`` leaves its modules unloaded, and each
   ``LOADED_BY_IMPORT`` statement loads just its pbcones modules, as read by
@@ -42,9 +45,7 @@ interpreter was found, else 0.
 from __future__ import annotations
 
 import ast
-import contextlib
 import hashlib
-import io
 import json
 import os
 import re
@@ -75,14 +76,7 @@ def _constant(path: Path, name: str):
         return eval(code, {"__builtins__": {}, "str": str, "map": map, "range": range})
 
 
-def _run_main(main, argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _spawn_digests(main, seeds: tuple[int, ...], count: int) -> dict[str, str]:
+def _spawn_digests(run, seeds: tuple[int, ...], count: int) -> dict[str, str]:
     """Per-label sha256 of every exit code and stdout over the benchmark's
     argv mix, taken as tests/test_cli_spawn_digest.py takes it."""
     sys.dont_write_bytecode = True  # perfbench/ is read, never written
@@ -98,7 +92,7 @@ def _spawn_digests(main, seeds: tuple[int, ...], count: int) -> dict[str, str]:
                     spec = Path(tmp) / f"seed{seed}-spec-{i}.json"
                     spec.write_text(json.dumps(query.spec))
                     argv[argv.index("--spec") + 1] = str(spec)
-                code, out, _ = _run_main(main, argv)
+                code, out, _ = run(argv)
                 h = digests.setdefault(query.label, hashlib.sha256())
                 h.update(f"{code}:{len(out)}:{out}".encode())
     return {label: h.hexdigest() for label, h in digests.items()}
@@ -133,7 +127,7 @@ def child() -> int:
     """Run every check in this interpreter; print one line per failure and
     a last line of JSON counts."""
     from pbcones import oracle
-    from pbcones.cli import main
+    from pbcones.cli import run
 
     test_cli, test_acceptance, test_spawn = (
         ROOT / "tests" / f"{name}.py"
@@ -145,12 +139,17 @@ def child() -> int:
         for name in ("LOADED_PROBE", "UNLOADED_AFTER", "LOADED_BY_IMPORT"))
     failures = _startup_failures(probe, unloaded_after, loaded_by_import)
     for argv, expected, want in goldens:
-        got = _run_main(main, argv.split())
+        got = run(argv.split())
         if got != (want, expected + "\n", ""):
             failures.append(f"golden {argv!r}: exit {got[0]}, stdout {got[1]!r}, "
                             f"stderr {got[2]!r}")
+    helps = ("--help", "check ring --help")
+    for argv in helps:
+        code, out, err = run(argv.split())
+        if not (code == 0 and out.startswith("usage: pbcone") and err == ""):
+            failures.append(f"help {argv!r}: exit {code}, stdout {out[:60]!r}, stderr {err!r}")
     for argv in usage_errors:
-        code, out, err = _run_main(main, shlex.split(argv))
+        code, out, err = run(shlex.split(argv))
         if not (code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1):
             failures.append(f"usage error {argv[:60]!r}: exit {code}, stderr {err!r}")
     sweeps = {"ring": (oracle.ring_sweep, dict(seed=1, samples=1000)),
@@ -174,13 +173,13 @@ def child() -> int:
     except ChildProcessError:
         pass
     seeds, count = _constant(test_spawn, "SEEDS"), _constant(test_spawn, "COUNT")
-    pinned, spawned = _constant(test_spawn, "PINNED"), _spawn_digests(main, seeds, count)
+    pinned, spawned = _constant(test_spawn, "PINNED"), _spawn_digests(run, seeds, count)
     failures += [f"spawn digest {label}: got {spawned.get(label)}"
                  for label in sorted(pinned.keys() | spawned.keys())
                  if spawned.get(label) != pinned.get(label)]
     for failure in failures:
         print(failure)
-    print(json.dumps({"goldens": len(goldens), "usage_errors": len(usage_errors),
+    print(json.dumps({"goldens": len(goldens), "help": len(helps), "usage_errors": len(usage_errors),
                       "startup": len(unloaded_after) + len(loaded_by_import),
                       "digests": len(reports), "spawn_argv": len(seeds) * count,
                       **{name: round(s, 2) for name, s in walls.items()},

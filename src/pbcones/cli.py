@@ -7,10 +7,11 @@ win wherever they appear).  Exit codes: 0 success, 1 negative
 mathematical verdict, 2 usage or input error, which prints one
 "error: ..." line on stderr whether argparse or a command refused.
 
-Each cmd_* is pure: it reads values its flags' argparse types parsed, returns
-(payload, human lines, exit code), and main alone prints.  Each binds the
-library names it uses when called, none at import: a command loads only the
-modules it runs, and one call never mixes two imports of a library module.
+Each cmd_* is pure: it reads values its flags' argparse types parsed and
+returns (payload, human lines, exit code); run renders a command line, --help
+too, as (code, stdout, stderr), and main alone writes.  Each binds the library
+names it uses when called, none at import: a command loads only the modules it
+runs, and one call never mixes two imports of a library module.
 
 Degrees passed via --deg/--alpha are quotient-convention degrees; with
 ring --convention sub the same number is the normal type of the
@@ -27,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 
-__all__ = ["main", "console_main"]
+__all__ = ["main", "run"]
 
 # ASCII digits only, matched in full (int() and Fraction() would also take
 # spaces, underscores and other scripts' digits).  The denominator must hold
@@ -47,7 +48,7 @@ _CHECK_TARGETS = {
     "cone": {**_SIZES, "--max-m": "max_m"},
 }
 
-# What every cmd_* returns: the JSON payload (main adds "command" in
+# What every cmd_* returns: the JSON payload (run adds "command" in
 # front), the human-readable lines, and the exit code.
 CommandResult = tuple[dict, list[str], int]
 
@@ -56,15 +57,22 @@ class UsageError(ValueError):
     pass
 
 
+class _Help(Exception):
+    """--help's text, raised where argparse would print it and exit."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Refuses with a UsageError, so that argparse's refusals print the CLI's
-    one error line, and takes no abbreviated flag; subparsers use this class."""
+    """Refuses with a UsageError and raises --help's text, so that argparse
+    writes nothing itself; takes no abbreviated flag.  Subparsers use it."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 # Argparse types: each raises ArgumentTypeError, whose text argparse prints
@@ -449,25 +457,29 @@ def _expand_spec(argv: list[str]) -> list[str]:
     return rest[:at] + flags + rest[at:]
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout text and stderr text of one command line."""
     try:
         args = build_parser().parse_args(_expand_spec(list(argv)))
         payload, human, code = args.func(args)
+    except _Help as shown:
+        return 0, str(shown), ""
     except ValueError as err:
         # one line, also where the message echoes an argument's line break
         text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(err))
-        print(f"error: {text}", file=sys.stderr)
-        return 2
-    except SystemExit:  # only --help exits; every refusal is a UsageError
-        return 0
+        return 2, "", f"error: {text}\n"
+    notice = ""
     if args.command == "blowdown" and args.convention is not None:
-        print("notice: blowdown --convention has no effect and will be removed",
-              file=sys.stderr)
+        notice = "notice: blowdown --convention has no effect and will be removed\n"
+    lines = [json.dumps({"command": args.command, **payload})] if args.json else human
+    return code, "\n".join([*lines, ""]), notice
+
+
+def main(argv: list[str] | None = None) -> int:
+    code, out, err = run(sys.argv[1:] if argv is None else argv)
+    sys.stderr.write(err)
     try:
-        for line in [json.dumps({"command": args.command, **payload})] if args.json else human:
-            print(line)
+        sys.stdout.write(out)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early.  Point stdout at devnull, so that the
@@ -476,9 +488,5 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -4,13 +4,14 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pbcones
 from pbcones import oracle
-from pbcones.cli import main
+from pbcones.cli import build_parser, main, run
 
 # Byte-for-byte golden outputs for the documented invocations (JSON mode).
 GOLDENS = [
@@ -178,6 +179,26 @@ def test_blowdown_convention_notice(capsys):
             assert given.out == plain.out
             assert given.err.startswith("notice: ") and given.err.count("\n") == 1
             assert "no effect" in given.err
+
+
+def test_certificate_restricts_to_the_chosen_rulings_ratio():
+    # Read back from the printed JSON: areas (a, b) give ratio 2b/a, which the
+    # first ruling restricts to and the second turns into 2a/b = 4/ratio.
+    areas = ["3,2", "2,3", "1,2", "2,1", "5/2,1", "1,5/2", "1/3,22/21", "22/21,1/3", "7/4,7/4"]
+    argvs = [argv for argv, _, _ in GOLDENS if argv.startswith("blowdown")] + [
+        f"blowdown --genus 0 --alpha 2 --ruled-areas {pair} --json" for pair in areas]
+    payloads = {argv: json.loads(run(argv.split())[1]) for argv in argvs}
+    rulings = set()
+    for argv, payload in payloads.items():
+        cert = payload["certificate"]
+        if cert is not None:
+            ratio, ruling = Fraction(payload["ratio"]), cert["chosen_ruling"]
+            want = 4 / ratio if ruling == "second" else ratio
+            assert Fraction(cert["restricted_ratio"]) == want, argv
+            rulings.add(ruling)
+    assert rulings == {None, "first", "second"}
+    example = payloads["blowdown --genus 0 --alpha 2 --ruled-areas 3,2 --json"]
+    assert (example["ratio"], example["certificate"]["restricted_ratio"]) == ("4/3", "3")
 
 
 def test_cone_semistable_human(capsys):
@@ -570,15 +591,36 @@ def test_spec_file_refusals_are_one_line(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, doc
 
 
+def test_run_writes_nothing_and_main_writes_what_it_returns(capsys, monkeypatch):
+    class Refuse:
+        def write(self, *text):
+            raise AssertionError(f"run wrote {text!r}")
+
+        flush = write
+
+    argvs = ([argv.split() for argv, _, _ in GOLDENS] + list(map(shlex.split, USAGE_ERRORS))
+             + [argv.split() for argv in ("--help", "ring --help", "bundle --help",
+                                          "check ring --help")]
+             + ["blowdown --genus 0 --alpha -1 --class 1,3/2 --convention sub".split()])
+    with monkeypatch.context() as patched:
+        patched.setattr(sys, "stdout", Refuse())
+        patched.setattr(sys, "stderr", Refuse())
+        answers = [run(argv) for argv in argvs]
+    for argv, (code, out, err) in zip(argvs, answers):
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv
+
+
 def test_help_exits_0(capsys):
     assert main(["ring", "--help"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: pbcone ring ")
     assert captured.err == ""
+    assert run(["--help"]) == (0, build_parser().format_help(), "")
 
 
 def test_module_entry_point_refuses_in_one_line():
-    # python -m pbcones runs console_main, which reads sys.argv
+    # python -m pbcones runs main with no argv, so it reads sys.argv
     src = str(Path(pbcones.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     argv = "blowdown --genus 0 --alpha -1 --class 1,3/2 --fiber-rank 2".split()

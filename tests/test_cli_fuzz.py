@@ -9,8 +9,6 @@ plumbing rather than large inputs; an example costs a few milliseconds,
 most of it in building the parser.
 """
 
-import contextlib
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -18,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbcones.cli import main
+from pbcones.cli import run
 
 small_int = st.integers(-3, 9).map(str)
 # sweep sizes around each size's least value; at 3 a sweep takes milliseconds
@@ -74,16 +72,13 @@ def _explicit(data, command: str) -> list[str]:
 
 
 def _run(argv: list[str]) -> None:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    stderr = err.getvalue()
+    code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in stderr, (argv, stderr)
+    assert "Traceback" not in err, (argv, err)
     if code == 2:
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     else:
-        assert out.getvalue(), argv
+        assert out, argv
 
 
 @FUZZ

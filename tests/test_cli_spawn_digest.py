@@ -2,23 +2,22 @@
 same process has answered other argv before.
 
 ``perfbench/cli_spawn.py`` draws its argv from a seed.  This test runs
-the argv of two seeds through the in-process ``main`` and compares, per
+the argv of two seeds through the in-process ``run`` and compares, per
 query label, a sha256 of every exit code and stdout with a digest taken
 from a known-good build.  A refactor that changes any answer, or any
-byte of how it is printed, fails here.
+byte of how it is printed, fails here.  Stderr stays empty, but for the
+one notice line of a blowdown query that sets ``--convention``.
 """
 
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from pbcones.cli import build_parser, main
+from pbcones.cli import build_parser, main, run
 from test_cli import GOLDENS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,6 +35,7 @@ PINNED = {
     "cone": "6c482bb7a636957b0897b32ec5dd438a87c69df9aed3757b873339dea52818d6",
     "ring": "ca5c362ba31e4aeca3a34b049fd3bffed73dd4e67403a38647774ecd2f871187",
 }
+NOTICE = "notice: blowdown --convention has no effect and will be removed\n"
 
 
 def _load(monkeypatch, name):
@@ -48,12 +48,13 @@ def _load(monkeypatch, name):
 
 
 def _digests(monkeypatch, tmp_path) -> dict[str, str]:
-    """Per-label sha256 of every exit code and stdout over the argv mix."""
+    """Per-label sha256 of every exit code and stdout over the argv mix,
+    whose stderr must be empty or, where --convention is set, the notice."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     _load(monkeypatch, "common")
     cli_spawn = _load(monkeypatch, "cli_spawn")
-    digests = {}
+    digests, notices = {}, 0
     for seed in SEEDS:
         for i, query in enumerate(cli_spawn.generate(seed, COUNT)):
             argv = list(query.argv)
@@ -61,12 +62,14 @@ def _digests(monkeypatch, tmp_path) -> dict[str, str]:
                 spec = tmp_path / f"seed{seed}-spec-{i}.json"
                 spec.write_text(json.dumps(query.spec))
                 argv[argv.index("--spec") + 1] = str(spec)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            text = out.getvalue()
+            code, out, err = run(argv)
+            notice = argv[0] == "blowdown" and ("--convention" in argv
+                                                or "convention" in (query.spec or {}))
+            assert err == (NOTICE if notice else ""), argv
+            notices += notice
             h = digests.setdefault(query.label, hashlib.sha256())
-            h.update(f"{code}:{len(text)}:{text}".encode())
+            h.update(f"{code}:{len(out)}:{out}".encode())
+    assert notices == 36  # the blowdown argv of SEEDS that set --convention
     return {label: h.hexdigest() for label, h in digests.items()}
 
 
